@@ -3,8 +3,9 @@
 The candidate-search algorithms all end with an argmin of cost over a large
 enumerated candidate set.  This module runs the tiny DTW dynamic program
 simultaneously across the whole candidate axis with numpy, chunked to keep
-intermediates small.  Results agree with the scalar path up to float
-round-off from differing summation order.
+intermediates small.  `score_candidates` agrees with the scalar path up to
+float round-off in the final powers; `cost_rows`, which keeps one entry per
+input sequence, is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -47,18 +48,42 @@ def score_block(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray
     return total
 
 
+def _chunk(T: Dataset, L: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(1, L * T.m))
+
+
 def score_candidates(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
     """Chunked cost_p^q scores for a (K, L, d) candidate array."""
     K, L, _ = cands.shape
     if K == 0:
         return np.empty(0)
-    chunk = max(1, _BLOCK_ELEMENTS // max(1, L * T.m))
+    chunk = _chunk(T, L)
     if K <= chunk:
         return score_block(T, cands, p, q)
     parts = [
         score_block(T, cands[s : s + chunk], p, q) for s in range(0, K, chunk)
     ]
     return np.concatenate(parts)
+
+
+def cost_rows(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
+    """(K, n) matrix of dtw_p(c, tau)^q for a (K, L, d) candidate array.
+
+    Every entry equals scalar ``dtw(c, tau, p).distance ** q`` bit for bit:
+    the DP does the same per-cell adds and mins, and both powers are taken
+    with Python float ``**`` as there, since numpy's array ``**`` rounds
+    differently in the last bit for some elements.
+    """
+    K, L, _ = cands.shape
+    out = np.empty((K, T.n))
+    inv_p = 1.0 / p
+    chunk = _chunk(T, L)
+    for s in range(0, K, chunk):
+        block = cands[s : s + chunk]
+        for j, tau in enumerate(T.sequences):
+            pow_acc = dtw_pow_block(tau.vertices, block, p)
+            out[s : s + chunk, j] = [(a**inv_p) ** q for a in pow_acc.tolist()]
+    return out
 
 
 def argmin_first(scores: np.ndarray) -> int:

@@ -12,6 +12,15 @@ it either commits one generated candidate as the next center, or discards the
 points best served by the current centers and recurses on the rest, so some
 root-to-leaf path isolates each optimal cluster well enough for the
 generator's per-subset guarantee to apply.
+
+Both generators only ever emit sequences of input vertices, so the search
+runs on a point table: the dataset's vertex pool (as `Dataset.vertex_pool`)
+with every input sequence held as an array of pool ids.  A candidate is a
+tuple of pool ids; its row of dtw_p(c, tau)^q over the dataset is scored
+once, batched by length through `_batch.cost_rows`, and looked up by the
+tuple after that.  Nodes one center short of k take all of their children
+in one vectorized step.  Only the returned centers are built as
+`PointSequence`s.
 """
 
 from __future__ import annotations
@@ -22,9 +31,10 @@ from itertools import product
 
 import numpy as np
 
+from ._batch import argmin_first, cost_rows
 from .core import Dataset, PointSequence, dtw
 from .errors import CapacityError, require
-from .meanapprox import CANDIDATE_GUARD, CandidateSet, dedup_rows
+from .meanapprox import CANDIDATE_GUARD, CandidateSet, tuple_count
 from .simplify import simplify
 
 NODE_GUARD = 1_000_000
@@ -53,8 +63,13 @@ class ClusteringParams:
 
 @dataclass
 class CenterSet:
+    """Centers and cost of a clustering; `nodes` and `rows_scored` count the
+    search nodes visited and the distinct candidate rows scored."""
+
     centers: list[PointSequence]
     cost: float
+    nodes: int = 0
+    rows_scored: int = 0
 
 
 def clustering_cost(T: Dataset, centers, p: float, q: float) -> float:
@@ -78,39 +93,67 @@ def cand2_sample_size(beta: float, delta: float) -> int:
 
 
 def _cand1(
-    T: Dataset, beta: float, delta: float, eps: float, p: float, ell: int, rng
-) -> CandidateSet:
-    pool = T.vertex_pool()
-    size = cand1_sample_size(beta, delta, eps, p, T.m, ell)
-    draws = rng.integers(0, len(pool), size=size)
-    sample = dedup_rows(pool[draws])
-    u, d = sample.shape
-    total = sum(u**L for L in range(1, ell + 1))
+    pool_ids: np.ndarray, m: int, beta: float, delta: float, eps: float, p: float,
+    ell: int, rng,
+) -> list[tuple[int, ...]]:
+    """All tuples of length 1..ell over a sample of `pool_ids`, as pool-id tuples.
+
+    `pool_ids` is the vertex pool of the sequences in play (distinct ids in
+    first-occurrence order) and `m` their largest complexity.  The tuples come
+    by length, then lexicographic in sample order.
+    """
+    size = cand1_sample_size(beta, delta, eps, p, m, ell)
+    draws = rng.integers(0, len(pool_ids), size=size)
+    sample = list(dict.fromkeys(pool_ids[draws].tolist()))
+    total = tuple_count(len(sample), ell)
     if total > CANDIDATE_GUARD:
         raise CapacityError(
             f"{total} candidates exceed the guard of {CANDIDATE_GUARD}"
         )
-    cands = [
-        PointSequence(sample[list(combo)])
-        for L in range(1, ell + 1)
-        for combo in product(range(u), repeat=L)
-    ]
-    return CandidateSet(candidates=cands, provenance="sampled")
+    return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
 
 
 def _cand2(
-    T: Dataset, beta: float, p: float, delta: float, ell: int, rng
-) -> CandidateSet:
-    size = cand2_sample_size(beta, delta)
-    draws = rng.integers(0, T.n, size=size)
-    out: list[PointSequence] = []
-    seen: set[tuple] = set()
-    for i in draws:
-        s = simplify(T.sequences[int(i)], ell, p).sequence
-        if s.key() not in seen:
-            seen.add(s.key())
-            out.append(s)
-    return CandidateSet(candidates=out, provenance="simplified")
+    active: tuple[int, ...], simplified, beta: float, delta: float, rng
+) -> dict[tuple[int, ...], int]:
+    """Distinct simplifications of sampled `active` sequences, in draw order.
+
+    Maps each simplification's pool-id tuple to the first sequence drawn
+    that yields it; `simplified(i)` gives the tuple of sequence i.
+    """
+    draws = rng.integers(0, len(active), size=cand2_sample_size(beta, delta))
+    out: dict[tuple[int, ...], int] = {}
+    for i in draws.tolist():
+        out.setdefault(simplified(active[i]), active[i])
+    return out
+
+
+class _PointTable:
+    """A dataset's vertex pool with every sequence held as pool ids."""
+
+    def __init__(self, T: Dataset, p: float, ell: int) -> None:
+        self.T, self.p, self.ell = T, p, ell
+        self.points, self.seq_ids = T.point_table()
+        self._simplified: dict[int, tuple[int, ...]] = {}
+
+    def simplified(self, i: int) -> tuple[int, ...]:
+        """Pool ids of sequence i's simplification, computed once per sequence."""
+        if i not in self._simplified:
+            verts = simplify(self.T.sequences[i], self.ell, self.p).sequence.vertices
+            own = self.T.sequences[i].vertices
+            # simplify picks the first of equal vertices, so match the first
+            pos = (own[None, :, :] == verts[:, None, :]).all(axis=2).argmax(axis=1)
+            self._simplified[i] = tuple(self.seq_ids[i][pos].tolist())
+        return self._simplified[i]
+
+    def sequence(self, ids: tuple[int, ...], src: tuple[int, ...]) -> PointSequence:
+        """The sequence of pool points `ids`, each vertex copied from its first
+        occurrence in the sequences `src` (which fixes the sign of a zero)."""
+        rows = []
+        for v in ids:
+            i = next(i for i in src if v in self.seq_ids[i])
+            rows.append(self.T.sequences[i].vertices[int(np.argmax(self.seq_ids[i] == v))])
+        return PointSequence(rows)
 
 
 def cand1(
@@ -120,7 +163,13 @@ def cand1(
     require(beta > 1, "beta must exceed 1")
     require(0 < delta < 1, "delta must lie in (0, 1)")
     require(eps > 0, "eps must be positive")
-    return _cand1(T, beta, delta, eps, p, ell, np.random.default_rng(seed))
+    points = T.vertex_pool()
+    ids = _cand1(
+        np.arange(len(points)), T.m, beta, delta, eps, p, ell, np.random.default_rng(seed)
+    )
+    return CandidateSet(
+        candidates=[PointSequence(points[list(c)]) for c in ids], provenance="sampled"
+    )
 
 
 def cand2(
@@ -129,7 +178,14 @@ def cand2(
     """Simplified-sample candidate set for (1, ell, p, 1)-clustering subsets."""
     require(beta > 1, "beta must exceed 1")
     require(0 < delta < 1, "delta must lie in (0, 1)")
-    return _cand2(T, beta, p, delta, ell, np.random.default_rng(seed))
+    table = _PointTable(T, p, ell)
+    found = _cand2(
+        tuple(range(T.n)), table.simplified, beta, delta, np.random.default_rng(seed)
+    )
+    return CandidateSet(
+        candidates=[table.sequence(c, (i,)) for c, i in found.items()],
+        provenance="simplified",
+    )
 
 
 def k_clustering(
@@ -143,65 +199,107 @@ def k_clustering(
     active points closest to the current centers.  Costs are always accounted
     over the full dataset; the returned cost is the minimum over all complete
     center sets explored.
+
+    The search runs on the dataset's point table: a node's vertex pool is the
+    first-occurrence union of its active sequences' pool ids, and every
+    candidate is a tuple of pool ids.  A candidate's row of dtw_p(c, tau)^q
+    over the dataset is scored once, batched by length through
+    `_batch.cost_rows`, and looked up by its id tuple after that.  A node
+    with k - 1 centers takes all of its children (the leaves) in one step,
+    min(dmin, row) summed per candidate, and keeps the first cheapest; each
+    leaf still counts as one node against `NODE_GUARD`.  Centers become
+    sequences only in the returned `CenterSet`, whose `nodes` and
+    `rows_scored` count the search nodes and the distinct candidate rows
+    scored.
     """
     require(generator in ("cand1", "cand2"), f"unknown generator {generator!r}")
     k, beta, p, q, ell = params.k, params.beta, params.p, params.q, params.ell
     rng = np.random.default_rng(seed)
     delta_node = params.delta / (k + 1)
-    n = T.n
+    table = _PointTable(T, p, ell)
+    seq_ids = table.seq_ids
 
-    pow_rows: dict[tuple, np.ndarray] = {}
+    row_at: dict[tuple[int, ...], int] = {}  # candidate -> its row in `rows`
+    rows = np.empty((0, T.n))
 
-    def row_of(c: PointSequence) -> np.ndarray:
-        key = c.key()
-        if key not in pow_rows:
-            pow_rows[key] = np.array(
-                [dtw(c, tau, p).distance ** q for tau in T.sequences]
+    def rows_of(cands: list[tuple[int, ...]]) -> np.ndarray:
+        nonlocal rows
+        new = [c for c in cands if c not in row_at]
+        need = len(row_at) + len(new)
+        if need > len(rows):
+            rows = np.concatenate([rows, np.empty((need, T.n))])
+        for L in sorted({len(c) for c in new}):
+            group = [c for c in new if len(c) == L]
+            start = len(row_at)
+            rows[start : start + len(group)] = cost_rows(
+                T, table.points[np.array(group)], p, q
             )
-        return pow_rows[key]
+            row_at.update((c, start + j) for j, c in enumerate(group))
+        return rows[[row_at[c] for c in cands]]
 
-    def generate(active: tuple[int, ...]) -> list[PointSequence]:
-        sub = Dataset([T.sequences[i] for i in active])
-        if generator == "cand1":
-            return _cand1(sub, beta, delta_node, params.eps, p, ell, rng).candidates
-        return _cand2(sub, beta, p, delta_node, ell, rng).candidates
+    pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+
+    def generate(active: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list]:
+        """Candidates at a node, and per candidate the sequences its vertices
+        are copied from when it becomes a returned center."""
+        if generator == "cand2":
+            found = _cand2(active, table.simplified, beta, delta_node, rng)
+            return list(found), [(i,) for i in found.values()]
+        if active not in pools:
+            ids = np.concatenate([seq_ids[i] for i in active])
+            pools[active] = (
+                np.array(list(dict.fromkeys(ids.tolist())), dtype=np.intp),
+                max(len(seq_ids[i]) for i in active),
+            )
+        pool_ids, m = pools[active]
+        cands = _cand1(pool_ids, m, beta, delta_node, params.eps, p, ell, rng)
+        return cands, [active] * len(cands)
 
     best_cost = math.inf
-    best_centers: list[PointSequence] | None = None
+    best_centers: list | None = None
     nodes = 0
 
-    def record(centers: list[PointSequence], dmin: np.ndarray | None) -> None:
+    def count_nodes(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > NODE_GUARD:
+            raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
+
+    def record(centers: list, total: float) -> None:
         nonlocal best_cost, best_centers
-        if dmin is None:
-            return
-        total = float(dmin.sum())
         if total < best_cost:
             best_cost = total
             best_centers = list(centers)
 
-    def recurse(
-        centers: list[PointSequence],
-        dmin: np.ndarray | None,
-        active: tuple[int, ...],
-    ) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > NODE_GUARD:
-            raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
+    def recurse(centers: list, dmin: np.ndarray | None, active: tuple[int, ...]) -> None:
+        count_nodes(1)
         if len(centers) == k or not active:
-            record(centers, dmin)
+            if dmin is not None:
+                record(centers, float(dmin.sum()))
             return
-        for c in generate(active):
-            row = row_of(c)
-            nd = row if dmin is None else np.minimum(dmin, row)
-            centers.append(c)
-            recurse(centers, nd, active)
-            centers.pop()
+        cands, srcs = generate(active)
+        R = rows_of(cands)
+        if len(centers) == k - 1:
+            count_nodes(len(cands))
+            totals = (R if dmin is None else np.minimum(dmin, R)).sum(axis=1)
+            i = argmin_first(totals)
+            record(centers + [(cands[i], srcs[i])], float(totals[i]))
+        else:
+            for c, src, row in zip(cands, srcs, R):
+                centers.append((c, src))
+                recurse(centers, row if dmin is None else np.minimum(dmin, row), active)
+                centers.pop()
         if centers:
             n_rm = math.ceil(len(active) * (1.0 - 2.0 * k / beta))
-            order = sorted(active, key=lambda i: (dmin[i], i))
-            recurse(centers, dmin, tuple(sorted(order[n_rm:])))
+            act = np.array(active)
+            keep = act[np.argsort(dmin[act], kind="stable")[n_rm:]]
+            recurse(centers, dmin, tuple(np.sort(keep).tolist()))
 
-    recurse([], None, tuple(range(n)))
+    recurse([], None, tuple(range(T.n)))
     assert best_centers is not None
-    return CenterSet(centers=best_centers, cost=best_cost)
+    return CenterSet(
+        centers=[table.sequence(c, src) for c, src in best_centers],
+        cost=best_cost,
+        nodes=nodes,
+        rows_scored=len(row_at),
+    )

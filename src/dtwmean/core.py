@@ -137,11 +137,23 @@ class Dataset:
 
     def vertex_pool(self) -> np.ndarray:
         """Distinct vertices of all sequences, in first-occurrence order."""
-        seen: dict[tuple, None] = {}
-        for s in self.sequences:
-            for v in s.vertices:
-                seen.setdefault(tuple(v), None)
-        return np.array(list(seen), dtype=float)
+        return self.point_table()[0]
+
+    def point_table(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The vertex pool, plus each sequence as an int array of pool row ids.
+
+        Vertices are told apart by tuple equality, so -0.0 and 0.0 are one
+        pool point, stored as whichever occurs first.
+        """
+        index: dict[tuple, int] = {}
+        ids = [
+            np.array(
+                [index.setdefault(v, len(index)) for v in map(tuple, s.vertices.tolist())],
+                dtype=np.intp,
+            )
+            for s in self.sequences
+        ]
+        return np.array(list(index), dtype=float), ids
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from ._batch import argmin_first, score_candidates
+from ._batch import argmin_first, cost_rows, score_candidates
 from .core import (
     Dataset,
     PointSequence,
@@ -231,33 +231,24 @@ def exact_clustering(
         )
     p_eff, q_eff = _resolve_mode(T, mode, p, q)
 
-    center_cache: dict[frozenset, PointSequence] = {}
+    # block -> (its exact center, the center's row of dtw_p(c, tau)^q)
+    center_cache: dict[frozenset, tuple[PointSequence, np.ndarray]] = {}
 
-    def center_of(block: tuple[int, ...]) -> PointSequence:
+    def center_of(block: list[int]) -> tuple[PointSequence, np.ndarray]:
         key = frozenset(block)
         if key not in center_cache:
             sub = Dataset([T.sequences[i] for i in block])
-            center_cache[key] = exact_mean(sub, ell, mode, p, q).mean
+            c = exact_mean(sub, ell, mode, p, q).mean
+            center_cache[key] = (c, cost_rows(T, c.vertices[None], p_eff, q_eff)[0])
         return center_cache[key]
-
-    pow_rows: dict[tuple, np.ndarray] = {}
-
-    def row_of(c: PointSequence) -> np.ndarray:
-        key = c.key()
-        if key not in pow_rows:
-            pow_rows[key] = np.array(
-                [dtw(c, tau, p_eff).distance ** q_eff for tau in T.sequences]
-            )
-        return pow_rows[key]
 
     best_cost = math.inf
     best_centers: list[PointSequence] | None = None
     for blocks in _partitions_up_to_k(T.n, k):
-        centers = [center_of(tuple(b)) for b in blocks]
-        dmin = np.min(np.stack([row_of(c) for c in centers]), axis=0)
-        total = float(dmin.sum())
+        centers, rows = zip(*(center_of(b) for b in blocks))
+        total = float(np.min(np.stack(rows), axis=0).sum())
         if total < best_cost:
             best_cost = total
-            best_centers = centers
+            best_centers = list(centers)
     assert best_centers is not None
     return best_centers, best_cost
