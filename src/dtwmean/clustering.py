@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from ._batch import argmin_first, cost_rows
-from .core import Dataset, PointSequence, dtw
+from .core import Dataset, PointSequence, dtw_distances
 from .errors import CapacityError, require
 from .meanapprox import CANDIDATE_GUARD, CandidateSet, tuple_count
 from .simplify import simplify
@@ -76,9 +76,10 @@ def clustering_cost(T: Dataset, centers, p: float, q: float) -> float:
     """Sum over the dataset of the q-th power of the distance to the nearest center."""
     cs = [c if isinstance(c, PointSequence) else PointSequence(c) for c in centers]
     require(len(cs) >= 1, "need at least one center")
+    rows = [dtw_distances(c, T, p) for c in cs]
     total = 0.0
-    for tau in T.sequences:
-        total += min(dtw(c, tau, p).distance for c in cs) ** q
+    for distances in zip(*rows):
+        total += min(distances) ** q
     return total
 
 

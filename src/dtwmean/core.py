@@ -22,6 +22,11 @@ DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 #: Hard cap on exhaustive warping enumeration.
 WARPING_ENUMERATION_GUARD = 1_000_000
 
+#: Cap on m1 * m2 * d for one distance matrix (128 MB of float64), checked
+#: before allocating; the anti-diagonal sweep also stacks its grids in
+#: chunks of at most this many elements.
+DISTANCE_GUARD = 16_000_000
+
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
 
@@ -217,52 +222,85 @@ class DtwResult:
 def pow_dist_matrix(
     a: np.ndarray, b: np.ndarray, p: float, metric: MetricSpace = EUCLIDEAN
 ) -> np.ndarray:
-    """Matrix of pairwise ground distances raised to the p-th power."""
+    """Matrix of pairwise ground distances raised to the p-th power.
+
+    Raises CapacityError, before allocating anything, when
+    len(a) * len(b) * d exceeds DISTANCE_GUARD.
+    """
+    m1, m2, d = len(a), len(b), a.shape[1]
+    if m1 * m2 * d > DISTANCE_GUARD:
+        raise CapacityError(
+            f"a {m1} x {m2} x {d} distance matrix exceeds the guard of "
+            f"{DISTANCE_GUARD} elements"
+        )
     if metric is EUCLIDEAN:
         diff = a[:, None, :] - b[None, :, :]
         dists = np.sqrt((diff * diff).sum(axis=-1))
     else:
-        dists = np.empty((len(a), len(b)))
+        dists = np.empty((m1, m2))
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 dists[i, j] = metric.distance(x, y)
     return dists**p
 
 
-def dtw(sigma, tau, p: float, metric: MetricSpace = EUCLIDEAN) -> DtwResult:
-    """p-DTW distance between two sequences, with one optimal warping.
+def _sweep(c: PointSequence, taus: Sequence[PointSequence], p: float, metric: MetricSpace):
+    """Accumulated p-th-power DTW grids of c against every tau, in chunks.
 
-    Standard O(m1*m2) dynamic program over the matrix of p-th-power ground
-    distances.  Backtracking ties are broken by the fixed step preference
-    (1,1) > (1,0) > (0,1) so the returned warping is deterministic.
+    Yields ``(S, transposed, lengths)`` per chunk of consecutive taus, with
+    at most DISTANCE_GUARD distance elements per chunk.  The chunk's B grids
+    are stacked, each tau padded to the chunk's longest, M, by repeating its
+    last vertex; a padded cell never feeds the cell (m1, m2) of its grid,
+    nor any cell a backtrack from there reads.  The stack is filled one
+    anti-diagonal at a time: every cell takes its p-th-power distance plus
+    the min of its (diag, up, left) neighbours, the same add and min as the
+    row-by-row recursion, so every value is the same.  Diagonals are
+    indexed along the shorter side n of the grids (over c, or over tau
+    when ``transposed``), so S has shape (m1 + M, n + 1, B): cell (i, j),
+    with i over c and j over tau, of grid b is
+    ``S[i + j + 1, (j if transposed else i) + 1, b]``, and every entry off
+    a grid is inf.
     """
-    a = as_sequence(sigma)
-    b = as_sequence(tau)
     require(p >= 1, "p must be >= 1")
-    if a.dimension != b.dimension:
+    if c.dimension != taus[0].dimension:
         raise DomainError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
+            f"dimension mismatch: {c.dimension} vs {taus[0].dimension}"
         )
-    powd = pow_dist_matrix(a.vertices, b.vertices, p, metric)
-    m1, m2 = powd.shape
+    m1, d = c.vertices.shape
+    step = max(1, DISTANCE_GUARD // (m1 * max(t.complexity for t in taus) * d))
+    for s in range(0, len(taus), step):
+        chunk = taus[s : s + step]
+        lengths = [t.complexity for t in chunk]
+        B, M = len(chunk), max(lengths)
+        starts = np.cumsum([0] + lengths[:-1])[:, None]
+        rows = starts + np.minimum(np.arange(M), np.array(lengths)[:, None] - 1)
+        padded = np.concatenate([t.vertices for t in chunk])[rows.reshape(-1)]
+        powd = pow_dist_matrix(c.vertices, padded, p, metric).reshape(m1, B, M)
+        transposed = M < m1
+        grids = powd.transpose((2, 0, 1) if transposed else (0, 2, 1))
+        n, width, _ = grids.shape
+        # cell (i, k - i) of the row-major (n, width) grid is row k + i * w
+        w = width - 1
+        flat = np.ascontiguousarray(grids).reshape(n * width, B)
+        diagonals = n + width - 1
+        S = np.full((diagonals + 1, n + 1, B), np.inf)
+        S[1, 1] = flat[0]
+        for k in range(1, diagonals):
+            lo, hi = max(0, k - w), min(k, n - 1)
+            cur = S[k + 1, lo + 1 : hi + 2]
+            np.minimum(S[k - 1, lo : hi + 1], S[k, lo : hi + 1], out=cur)
+            np.minimum(cur, S[k, lo + 1 : hi + 2], out=cur)
+            np.add(cur, flat[k + lo * w : k + hi * w + 1 : w], out=cur)
+        yield S, transposed, lengths
 
-    acc = np.empty_like(powd)
-    acc[0, 0] = powd[0, 0]
-    for j in range(1, m2):
-        acc[0, j] = acc[0, j - 1] + powd[0, j]
-    for i in range(1, m1):
-        acc[i, 0] = acc[i - 1, 0] + powd[i, 0]
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m2):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = powd[i, j] + best
 
-    # backtrack, preferring diagonal, then advancing in sigma, then in tau
+def _backtrack(G: np.ndarray, m1: int, m2: int, transposed: bool) -> Warping:
+    """The warping ending at (m1, m2) of one grid ``G = S[:, :, b]`` of a sweep.
+
+    Ties prefer the diagonal step, then advancing in sigma, then in tau.
+    """
+    # column offsets of the up (i - 1, j) and left (i, j - 1) neighbours
+    du, dl = (0, 1) if transposed else (1, 0)
     i, j = m1 - 1, m2 - 1
     rev = [(m1, m2)]
     while i > 0 or j > 0:
@@ -271,7 +309,9 @@ def dtw(sigma, tau, p: float, metric: MetricSpace = EUCLIDEAN) -> DtwResult:
         elif j == 0:
             i -= 1
         else:
-            diag, up, left = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            k = i + j
+            col = (j if transposed else i) + 1
+            diag, up, left = G[k - 1, col - 1], G[k, col - du], G[k, col - dl]
             best = min(diag, up, left)
             if diag == best:
                 i -= 1
@@ -282,8 +322,39 @@ def dtw(sigma, tau, p: float, metric: MetricSpace = EUCLIDEAN) -> DtwResult:
                 j -= 1
         rev.append((i + 1, j + 1))
     rev.reverse()
-    distance = float(acc[m1 - 1, m2 - 1]) ** (1.0 / p)
-    return DtwResult(distance=distance, warping=Warping(tuple(rev)))
+    return Warping(tuple(rev))
+
+
+def dtw(sigma, tau, p: float, metric: MetricSpace = EUCLIDEAN) -> DtwResult:
+    """p-DTW distance between two sequences, with one optimal warping.
+
+    O(m1*m2) dynamic program over the matrix of p-th-power ground
+    distances, filled one anti-diagonal at a time with numpy: each cell
+    adds its distance to the min of its (diag, up, left) neighbours, the
+    same operations as the row-by-row recursion, so the distance is the
+    same to the last bit.  Memory is O(m1*m2) however unequal the lengths.
+    Backtracking ties are broken by the fixed step preference
+    (1,1) > (1,0) > (0,1) so the returned warping is deterministic.
+    """
+    a = as_sequence(sigma)
+    b = as_sequence(tau)
+    S, transposed, _ = next(_sweep(a, [b], p, metric))
+    m1, m2 = a.complexity, b.complexity
+    G = S[:, :, 0]
+    distance = float(G[m1 + m2 - 1, m2 if transposed else m1]) ** (1.0 / p)
+    return DtwResult(distance=distance, warping=_backtrack(G, m1, m2, transposed))
+
+
+def dtw_distances(c, T: Dataset, p: float, metric: MetricSpace = EUCLIDEAN) -> list[float]:
+    """dtw_p(c, tau) for every tau of T, in order, from one sweep and no backtrack."""
+    cseq = as_sequence(c)
+    m1 = cseq.complexity
+    out: list[float] = []
+    for S, transposed, lengths in _sweep(cseq, T.sequences, p, metric):
+        n = np.array(lengths)
+        ends = S[m1 + n - 1, n if transposed else m1, np.arange(len(n))]
+        out.extend(a ** (1.0 / p) for a in ends.tolist())
+    return out
 
 
 def warping_count(m1: int, m2: int) -> int:
@@ -334,12 +405,12 @@ def warping_pow_cost(
 
 
 def cost(T: Dataset, c, p: float, q: float, metric: MetricSpace = EUCLIDEAN) -> float:
-    """Sum over the dataset of dtw_p(c, tau)^q."""
+    """Sum over the dataset of dtw_p(c, tau)^q, folded in sequence order."""
     cseq = as_sequence(c)
     require(q >= 1, "q must be >= 1")
     total = 0.0
-    for tau in T.sequences:
-        total = total + dtw(cseq, tau, p, metric).distance ** q
+    for distance in dtw_distances(cseq, T, p, metric):
+        total = total + distance**q
     return total
 
 
@@ -382,9 +453,14 @@ def sections(c, T: Dataset, warpings: Sequence[Warping]) -> list[Section]:
 def optimal_sections(
     c, T: Dataset, p: float, metric: MetricSpace = EUCLIDEAN
 ) -> tuple[list[Section], list[Warping]]:
-    """Sections of c under optimal p-warpings computed by :func:`dtw`."""
+    """Sections of c under the optimal p-warpings :func:`dtw` returns, from one sweep."""
     cseq = as_sequence(c)
-    warpings = [dtw(cseq, tau, p, metric).warping for tau in T.sequences]
+    warpings: list[Warping] = []
+    for S, transposed, lengths in _sweep(cseq, T.sequences, p, metric):
+        warpings.extend(
+            _backtrack(S[:, :, b], cseq.complexity, m2, transposed)
+            for b, m2 in enumerate(lengths)
+        )
     return sections(cseq, T, warpings), warpings
 
 

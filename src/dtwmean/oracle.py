@@ -27,8 +27,8 @@ from .core import (
     Dataset,
     PointSequence,
     Warping,
-    dtw,
     enumerate_warpings,
+    optimal_sections,
     warping_count,
 )
 from .errors import CapacityError, require
@@ -179,7 +179,7 @@ def _exact_mean_discrete(T: Dataset, ell: int, p: float, q: float) -> OracleResu
             best_cost = float(scores[i])
             best_seq = PointSequence(block[i])
     assert best_seq is not None
-    warpings = [dtw(best_seq, tau, p).warping for tau in T.sequences]
+    _, warpings = optimal_sections(best_seq, T, p)
     return OracleResult(
         mean=best_seq, cost=best_cost, warping_tuple=warpings, mode="discrete"
     )

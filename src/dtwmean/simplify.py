@@ -81,12 +81,12 @@ def simplify(
     split = np.zeros((m + 1, L + 1), dtype=int)
     D[1:, 1] = seg_val[0, :]
     for j in range(2, L + 1):
-        for i in range(j, m + 1):
-            # block a..i-1 (0-based) with a in [j-1, i-1]
-            cand = D[j - 1 : i, j - 1] + seg_val[j - 1 : i, i - 1]
-            a0 = int(np.argmin(cand))
-            D[i, j] = cand[a0]
-            split[i, j] = j - 1 + a0
+        # cand[a - (j-1), i - j]: last block a..i-1 (0-based) for every i in
+        # [j, m] at once; seg_val is inf for a > i-1, so those never win
+        cand = D[j - 1 : m, j - 1, None] + seg_val[j - 1 :, j - 1 :]
+        a0 = np.argmin(cand, axis=0)
+        D[j:, j] = cand[a0, np.arange(m - j + 1)]
+        split[j:, j] = j - 1 + a0
 
     j_star = 1 + int(np.argmin(D[m, 1:]))
     anchors: list[int] = []

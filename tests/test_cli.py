@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dtwmean.core as core
 from dtwmean import Dataset, cost, save_dataset
 from dtwmean.cli import main
 
@@ -128,6 +129,12 @@ class TestExitCodes:
              "--eps", "0.05", "--delta", "0.01"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["dtw", "simplify"])
+    def test_distance_guard(self, capsys, monkeypatch, dataset_path, command):
+        monkeypatch.setattr(core, "DISTANCE_GUARD", 1)
+        assert main([command, "--input", dataset_path]) == 3
+        assert "capacity guard" in capsys.readouterr().err
 
     def test_io_error(self, capsys, tmp_path):
         assert main(["mean", "--input", str(tmp_path / "missing.json")]) == 4

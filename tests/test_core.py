@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtwmean.core as core
 from dtwmean import (
     EUCLIDEAN,
     Dataset,
@@ -13,15 +15,17 @@ from dtwmean import (
     PointSequence,
     ProblemParams,
     Warping,
+    best_anchor,
     cost,
     dtw,
     enumerate_warpings,
     optimal_sections,
     sections,
+    simplify,
     warping_count,
     weak_triangle_check,
 )
-from dtwmean.core import pow_dist_matrix, warping_pow_cost
+from dtwmean.core import dtw_distances, pow_dist_matrix, warping_pow_cost
 from dtwmean.errors import CapacityError
 
 from conftest import random_dataset, random_sequence, seq
@@ -237,6 +241,46 @@ class TestSections:
             )
             direct = cost(T, c, p, p)
             assert direct == pytest.approx(via_sections, rel=1e-9)
+
+
+class TestDistanceGuard:
+    def test_guard_admits_exactly_m1_m2_d(self, monkeypatch, rng):
+        a, b = rng.uniform(0, 5, size=(4, 2)), rng.uniform(0, 5, size=(7, 2))
+        calls = [
+            (4 * 7 * 2, lambda: dtw(a, b, 2.0)),
+            (7 * 7 * 2, lambda: simplify(b, 3, 2.0)),
+            (4 * 7 * 2, lambda: best_anchor(a, b, 1.5)),
+        ]
+        for cap, call in calls:
+            monkeypatch.setattr(core, "DISTANCE_GUARD", cap)
+            call()
+            monkeypatch.setattr(core, "DISTANCE_GUARD", cap - 1)
+            with pytest.raises(CapacityError):
+                call()
+
+    def test_one_grid_per_chunk_matches_one_sweep(self, monkeypatch, rng):
+        T = random_dataset(rng, n=6, max_len=9, dim=2)
+        c = random_sequence(rng, max_len=5, dim=2)
+        want = (cost(T, c, 1.5, 2.0), dtw_distances(c, T, 3.0), optimal_sections(c, T, 2.0)[1])
+        # the longest sequence fills a chunk on its own
+        monkeypatch.setattr(core, "DISTANCE_GUARD", c.complexity * T.m * 2)
+        got = (cost(T, c, 1.5, 2.0), dtw_distances(c, T, 3.0), optimal_sections(c, T, 2.0)[1])
+        assert got == want
+        monkeypatch.setattr(core, "DISTANCE_GUARD", c.complexity * T.m * 2 - 1)
+        with pytest.raises(CapacityError):
+            cost(T, c, 1.5, 2.0)
+
+    @pytest.mark.parametrize("shape", [(20000, 1), (1, 20000)])
+    def test_unequal_lengths_stay_linear_in_memory(self, shape):
+        a, b = (np.arange(m, dtype=float).reshape(-1, 1) for m in shape)
+        tracemalloc.start()
+        try:
+            res = dtw(a, b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.warping) == 20000
+        assert peak < 64 * 2**20  # a 20000 x 20000 grid would be 3.2 GB
 
 
 class TestWeakTriangle:
