@@ -43,15 +43,14 @@ from .dba import DbaResult, dba, default_dba_init
 from .errors import CapacityError, DomainError, DtwMeanError
 from .meanapprox import CandidateSet, MeanResult, mean_c, mean_c_d
 from .oracle import OracleResult, exact_clustering, exact_mean
-from .ranges import BallRangeSpace, ball_ranges, epsilon_net
-from .refine import BallUnion, GridSpec, ScaleLadder, grid_cover, grid_point, med_appr
+from .ranges import ball_ranges, epsilon_net
+from .refine import BallUnion, ScaleLadder, grid_cover, grid_point, med_appr
 from .simplify import SimplificationResult, best_anchor, simplify
 from .synth import generate_synthetic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallRangeSpace",
     "BallUnion",
     "CandidateSet",
     "CapacityError",
@@ -63,7 +62,6 @@ __all__ = [
     "DtwMeanError",
     "DtwResult",
     "EUCLIDEAN",
-    "GridSpec",
     "MeanResult",
     "MetricSpace",
     "OracleResult",

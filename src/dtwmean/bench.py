@@ -41,6 +41,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise DomainError(f"run config must be a JSON object, got {obj!r}")
         if "algo" not in obj:
             raise DomainError("run config needs an 'algo' field")
         known = {f for f in cls.__dataclass_fields__}

@@ -212,6 +212,8 @@ def _cmd_bench(args) -> dict:
         delta=args.delta, seed=args.seed,
     )
     if isinstance(obj, dict) and "runs" in obj:
+        if not isinstance(obj["runs"], list):
+            raise DomainError(f"{path}: 'runs' must be a list of run configs")
         configs = [RunConfig.from_dict(entry) for entry in obj["runs"]]
         report = bench(configs, default_dataset=None, parallel=args.parallel)
     else:

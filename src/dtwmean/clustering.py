@@ -168,9 +168,8 @@ def cand1(
     ids = _cand1(
         np.arange(len(points)), T.m, beta, delta, eps, p, ell, np.random.default_rng(seed)
     )
-    return CandidateSet(
-        candidates=[PointSequence(points[list(c)]) for c in ids], provenance="sampled"
-    )
+    # the length-1 tuples come first, one per sampled vertex
+    return CandidateSet("sampled", points[[c[0] for c in ids if len(c) == 1]], ell)
 
 
 def cand2(
@@ -184,8 +183,7 @@ def cand2(
         tuple(range(T.n)), table.simplified, beta, delta, np.random.default_rng(seed)
     )
     return CandidateSet(
-        candidates=[table.sequence(c, (i,)) for c, i in found.items()],
-        provenance="simplified",
+        "simplified", listed=[table.sequence(c, (i,)) for c, i in found.items()]
     )
 
 

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from ._batch import argmin_first, score_candidates
+from ._batch import argmin_fold, tuple_groups
 from .core import Dataset, PointSequence
 from .errors import CapacityError, require
 from .ranges import epsilon_net
@@ -27,13 +27,28 @@ CANDIDATE_GUARD = 100_000
 
 @dataclass
 class CandidateSet:
-    """Finite set of candidate mean sequences with how they were produced."""
+    """Finite set of candidate mean sequences with how they were produced.
 
-    candidates: list[PointSequence]
+    A set of tuples keeps only its point table and `ell`; `candidates`, every
+    sequence of length 1..ell over `points` in `enumerate_tuples` order, is
+    built when read.  Any other set lists its candidates in `listed`.
+    """
+
     provenance: str  # sampled | net | grid | simplified
+    points: np.ndarray | None = None
+    ell: int = 0
+    listed: list[PointSequence] | None = None
+
+    @property
+    def candidates(self) -> list[PointSequence]:
+        if self.listed is not None:
+            return self.listed
+        return [PointSequence(c) for b in enumerate_tuples(self.points, self.ell) for c in b]
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        if self.listed is None:
+            return tuple_count(len(self.points), self.ell)
+        return len(self.listed)
 
 
 @dataclass
@@ -82,23 +97,22 @@ def tuple_count(u: int, ell: int) -> int:
     return sum(u**L for L in range(1, ell + 1))
 
 
-def _argmin_over_groups(
-    T: Dataset, groups: list[np.ndarray], p: float, q: float
-) -> tuple[PointSequence, float, int]:
-    best_cost = math.inf
-    best_seq: PointSequence | None = None
-    scored = 0
-    for block in groups:
-        if block.shape[0] == 0:
-            continue
-        scores = score_candidates(T, block, p, q)
-        scored += block.shape[0]
-        i = argmin_first(scores)
-        if scores[i] < best_cost:
-            best_cost = float(scores[i])
-            best_seq = PointSequence(block[i])
-    assert best_seq is not None
-    return best_seq, best_cost, scored
+def _cheapest_tuple(
+    T: Dataset, points: np.ndarray, ell: int, p: float, provenance: str, hint: str = ""
+) -> MeanResult:
+    """Cheapest sequence of length <= ell over `points` under cost_p^p."""
+    total = tuple_count(len(points), ell)
+    if total > CANDIDATE_GUARD:
+        raise CapacityError(
+            f"{total} candidates exceed the guard of {CANDIDATE_GUARD}{hint}"
+        )
+    best, rows = argmin_fold(tuple_groups(T, points, ell, p, p))
+    return MeanResult(
+        sequence=PointSequence(rows),
+        cost=best,
+        candidate_set=CandidateSet(provenance, points, ell),
+        candidates_scored=total,
+    )
 
 
 def mean_c(
@@ -119,20 +133,9 @@ def mean_c(
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, len(pool), size=size)
     sample = dedup_rows(pool[draws])
-
-    total = tuple_count(len(sample), ell)
-    if total > CANDIDATE_GUARD:
-        raise CapacityError(
-            f"{total} candidates exceed the guard of {CANDIDATE_GUARD}; "
-            "increase eps or delta, or lower ell"
-        )
-    groups = enumerate_tuples(sample, ell)
-    seq, best, scored = _argmin_over_groups(T, groups, p, p)
-    cands = CandidateSet(
-        candidates=[PointSequence(row) for block in groups for row in block],
-        provenance="sampled",
+    return _cheapest_tuple(
+        T, sample, ell, p, "sampled", "; increase eps or delta, or lower ell"
     )
-    return MeanResult(sequence=seq, cost=best, candidate_set=cands, candidates_scored=scored)
 
 
 def mean_c_d(T: Dataset, eps: float, p: float, ell: int) -> MeanResult:
@@ -147,16 +150,4 @@ def mean_c_d(T: Dataset, eps: float, p: float, ell: int) -> MeanResult:
     require(ell >= 1, "ell must be >= 1")
     pool = T.vertex_pool()
     net = epsilon_net(pool, eps_prime(eps, p) / T.m)
-
-    total = tuple_count(len(net), ell)
-    if total > CANDIDATE_GUARD:
-        raise CapacityError(
-            f"{total} candidates exceed the guard of {CANDIDATE_GUARD}"
-        )
-    groups = enumerate_tuples(net, ell)
-    seq, best, scored = _argmin_over_groups(T, groups, p, p)
-    cands = CandidateSet(
-        candidates=[PointSequence(row) for block in groups for row in block],
-        provenance="net",
-    )
-    return MeanResult(sequence=seq, cost=best, candidate_set=cands, candidates_scored=scored)
+    return _cheapest_tuple(T, net, ell, p, "net")

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from ._batch import argmin_first, cost_rows, score_candidates
+from ._batch import argmin_fold, cost_rows, tuple_groups
 from .core import (
     Dataset,
     PointSequence,
@@ -32,6 +31,7 @@ from .core import (
     warping_count,
 )
 from .errors import CapacityError, require
+from .meanapprox import tuple_count
 
 MODES = ("euclidean-2-2", "line-1-1", "discrete")
 
@@ -162,23 +162,13 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
 
 def _exact_mean_discrete(T: Dataset, ell: int, p: float, q: float) -> OracleResult:
     pool = T.vertex_pool()
-    u, d = pool.shape
-    total = sum(u**L for L in range(1, ell + 1))
+    total = tuple_count(len(pool), ell)
     if total > TUPLE_GUARD:
         raise CapacityError(
             f"{total} pool candidates exceed the guard of {TUPLE_GUARD}"
         )
-    best_cost = math.inf
-    best_seq: PointSequence | None = None
-    for L in range(1, ell + 1):
-        idx = np.array(list(product(range(u), repeat=L)), dtype=int)
-        block = pool[idx.reshape(-1)].reshape(len(idx), L, d)
-        scores = score_candidates(T, block, p, q)
-        i = argmin_first(scores)
-        if scores[i] < best_cost:
-            best_cost = float(scores[i])
-            best_seq = PointSequence(block[i])
-    assert best_seq is not None
+    best_cost, rows = argmin_fold(tuple_groups(T, pool, ell, p, q))
+    best_seq = PointSequence(rows)
     _, warpings = optimal_sections(best_seq, T, p)
     return OracleResult(
         mean=best_seq, cost=best_cost, warping_tuple=warpings, mode="discrete"

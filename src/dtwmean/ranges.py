@@ -16,7 +16,6 @@ derandomized mean algorithm needs at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -32,23 +31,6 @@ MAX_DIMENSION = 3
 _HEAVY_SLACK = 1e-9
 
 _RANK_TOL = 1e-9
-
-
-@dataclass
-class BallRangeSpace:
-    """Finite ground set together with the VC dimension of its ball ranges."""
-
-    ground_set: np.ndarray
-    vc_dimension: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.ground_set = np.atleast_2d(np.asarray(self.ground_set, dtype=float))
-        # Euclidean balls in R^d shatter at most d + 1 points
-        self.vc_dimension = self.ground_set.shape[1] + 1
-        require(self.vc_dimension >= 1, "VC dimension must be >= 1")
-
-    def subsystem(self) -> list[frozenset[int]]:
-        return ball_ranges(self.ground_set)
 
 
 def _equidistant_sphere(pts: np.ndarray) -> tuple[np.ndarray, float] | None:

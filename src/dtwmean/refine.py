@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._batch import argmin_first, score_candidates
+from ._batch import argmin_fold, score_candidates, tuple_groups
 from .core import Dataset, PointSequence
 from .errors import CapacityError, require
-from .meanapprox import MeanResult
+from .meanapprox import MeanResult, tuple_count
 from .simplify import simplify
 
 #: Cap on total enumerated candidates and on grid cells visited per cover.
@@ -36,19 +37,6 @@ def grid_point(gamma: float, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Cell width and snapping map of one refinement grid."""
-
-    cell_width: float
-
-    def __post_init__(self) -> None:
-        require(self.cell_width > 0, "grid cell width must be positive")
-
-    def snap(self, x) -> np.ndarray:
-        return grid_point(self.cell_width, x)
-
-
-@dataclass(frozen=True)
 class BallUnion:
     """Union of equal-radius balls centered at a sequence's vertices."""
 
@@ -58,12 +46,6 @@ class BallUnion:
     def __post_init__(self) -> None:
         require(self.centers.ndim == 2 and self.centers.shape[0] >= 1, "need centers")
         require(self.radius > 0, "radius must be positive")
-
-
-def _cell_indices_for_ball(center: np.ndarray, r: float, gamma: float):
-    lo = np.floor((center - r) / gamma).astype(int)
-    hi = np.floor((center + r) / gamma).astype(int)
-    return lo, hi
 
 
 def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
@@ -76,17 +58,14 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
     require(gamma > 0, "grid cell width must be positive")
     r = ball_union.radius
     d = ball_union.centers.shape[1]
-    kept: set[tuple[int, ...]] = set()
+    hits = []
     budget = CELL_GUARD
     for center in ball_union.centers:
-        lo, hi = _cell_indices_for_ball(center, r, gamma)
-        counts = hi - lo + 1
-        ncells = int(np.prod(counts))
-        budget -= ncells
+        lo = np.floor((center - r) / gamma).astype(int)
+        hi = np.floor((center + r) / gamma).astype(int)
+        budget -= int(np.prod(hi - lo + 1))
         if budget < 0:
-            raise CapacityError(
-                f"grid cover would visit more than {CELL_GUARD} cells"
-            )
+            raise CapacityError(f"grid cover would visit more than {CELL_GUARD} cells")
         axes = [np.arange(lo[j], hi[j] + 1) for j in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         corners = mesh * gamma
@@ -94,10 +73,8 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         dsq = ((center - nearest) ** 2).sum(axis=1)
         on_lower_faces = (center < corners + gamma).all(axis=1)
         hit = (dsq < r * r) | ((dsq == r * r) & on_lower_faces)
-        for row in mesh[hit]:
-            kept.add(tuple(int(v) for v in row))
-    idx = np.array(sorted(kept), dtype=float).reshape(len(kept), d)
-    return idx * gamma
+        hits.append(mesh[hit])
+    return np.unique(np.concatenate(hits), axis=0) * gamma
 
 
 def _inscribed_cell_lower_bound(ball_union: BallUnion, gamma: float) -> int:
@@ -163,41 +140,30 @@ def med_appr(
         for i in rng.integers(0, n, size=estimate_sample_count(delta))
     ]
 
-    simplified = [simplify(tau, ell, p).sequence for tau in sampled]
-    simp_blocks = {}
-    for s in simplified:
-        simp_blocks.setdefault(s.complexity, []).append(s.vertices)
-    simp_groups = [
-        np.stack(rows) for _, rows in sorted(simp_blocks.items())
-    ]
-    simp_scores = [score_candidates(T, block, p, 1.0) for block in simp_groups]
-    R = min(float(s.min()) for s in simp_scores)
-
-    flags: list[str] = []
+    simp_blocks: dict[int, list[np.ndarray]] = {}
+    for tau in sampled:
+        s = simplify(tau, ell, p).sequence.vertices
+        simp_blocks.setdefault(len(s), []).append(s)
+    simp_groups = [np.stack(rows) for _, rows in sorted(simp_blocks.items())]
+    R, winner = argmin_fold(
+        (score_candidates(T, block, p, 1.0), block.__getitem__) for block in simp_groups
+    )
+    total = sum(b.shape[0] for b in simp_groups)
     if R == 0.0:
         # a sampled simplification already has zero cost, hence is optimal
-        for block, scores in zip(simp_groups, simp_scores):
-            i = argmin_first(scores)
-            if scores[i] == 0.0:
-                return MeanResult(
-                    sequence=PointSequence(block[i]),
-                    cost=0.0,
-                    candidates_scored=sum(b.shape[0] for b in simp_groups),
-                    flags=["zero-cost-estimate"],
-                )
+        return MeanResult(
+            PointSequence(winner), 0.0, candidates_scored=total, flags=["zero-cost-estimate"]
+        )
 
     ladder = ScaleLadder.build(R, n, m, ell, p, eps, d)
     size_cap = ell * ladder.beta
 
-    # candidate blocks in enumeration order; duplicates across rungs can only
-    # tie, and the strict argmin keeps the first occurrence anyway
-    blocks: list[np.ndarray] = list(simp_groups)
-    total = sum(b.shape[0] for b in blocks)
-
-    contributed = False
+    # grid covers in enumeration order, after the simplifications; duplicates
+    # across rungs can only tie, and the strict argmin keeps the first one
+    covers: list[np.ndarray] = []
     for r in ladder.rungs:
-        grid = GridSpec(rung_cell_width(r, m, p, eps, d))
-        gamma = grid.cell_width
+        gamma = rung_cell_width(r, m, p, eps, d)
+        require(gamma > 0, "grid cell width must be positive")
         for tau in sampled:
             union = BallUnion(centers=tau.vertices, radius=4.0 * r)
             if _inscribed_cell_lower_bound(union, gamma) > size_cap:
@@ -205,30 +171,17 @@ def med_appr(
             cover = grid_cover(union, gamma)
             if len(cover) == 0 or len(cover) > size_cap:
                 continue
-            contributed = True
-            added = sum(len(cover) ** L for L in range(1, ell + 1))
+            added = tuple_count(len(cover), ell)
             if total + added > CANDIDATE_GUARD:
                 raise CapacityError(
                     f"candidate budget {CANDIDATE_GUARD} exceeded at rung r={r!r}"
                 )
             total += added
-            u = len(cover)
-            for L in range(1, ell + 1):
-                idx = np.indices((u,) * L).reshape(L, -1).T
-                blocks.append(cover[idx.reshape(-1)].reshape(len(idx), L, d))
+            covers.append(cover)
 
-    if not contributed:
-        flags.append("fallback")
-
-    best_cost = math.inf
-    best_seq: PointSequence | None = None
-    for block in blocks:
-        scores = score_candidates(T, block, p, 1.0)
-        i = argmin_first(scores)
-        if scores[i] < best_cost:
-            best_cost = float(scores[i])
-            best_seq = PointSequence(block[i])
-    assert best_seq is not None
-    return MeanResult(
-        sequence=best_seq, cost=best_cost, candidates_scored=total, flags=flags
+    best_cost, winner = argmin_fold(
+        chain.from_iterable(tuple_groups(T, c, ell, p, 1.0) for c in covers),
+        (R, winner),
     )
+    flags = [] if covers else ["fallback"]
+    return MeanResult(PointSequence(winner), best_cost, candidates_scored=total, flags=flags)

@@ -120,6 +120,15 @@ class TestExitCodes:
         bad.write_text("{}")
         assert main(["mean", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "batch", [{"runs": [1]}, {"runs": ["sample"]}, {"runs": {"algo": "sample"}}, {"runs": 3}]
+    )
+    def test_bench_malformed_runs(self, capsys, tmp_path, batch):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        assert main(["bench", "--input", str(path)]) == 2
+        assert "run config" in capsys.readouterr().err
+
     def test_capacity_error(self, capsys, tmp_path, rng):
         T = random_dataset(rng, n=6, max_len=8, min_len=8)
         path = tmp_path / "big.json"

@@ -59,6 +59,29 @@ class TestGridCover:
         cover = grid_cover(union, 1.0)
         assert cover.ravel().tolist() == sorted(set(cover.ravel().tolist()))
 
+    def test_matches_sorted_set_of_hit_cells(self, rng):
+        # reference: every lattice cell of every ball's bounding box that the
+        # ball meets, collected in a set and sorted; centers straddle zero so
+        # lattice indices are negative too
+        for _ in range(20):
+            centers = rng.uniform(-3, 3, size=(int(rng.integers(1, 4)), 2))
+            r, gamma = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.2, 0.9))
+            kept = set()
+            for c in centers:
+                lo = np.floor((c - r) / gamma).astype(int)
+                hi = np.floor((c + r) / gamma).astype(int)
+                for i in range(lo[0], hi[0] + 1):
+                    for j in range(lo[1], hi[1] + 1):
+                        corner = np.array([i, j]) * gamma
+                        dsq = float(((c - np.clip(c, corner, corner + gamma)) ** 2).sum())
+                        lower = bool((c < corner + gamma).all())
+                        if dsq < r * r or (dsq == r * r and lower):
+                            kept.add((i, j))
+            want = np.array(sorted(kept), dtype=float) * gamma
+            assert min(min(cell) for cell in kept) < 0
+            cover = grid_cover(BallUnion(centers=centers, radius=r), gamma)
+            assert cover.tobytes() == want.tobytes()
+
     def test_volumetric_bound(self, rng):
         # cover of B(x, 8r) stays within the closed-form cell bound
         for _ in range(50):
