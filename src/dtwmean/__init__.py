@@ -27,7 +27,6 @@ from .core import (
     DtwResult,
     MetricSpace,
     PointSequence,
-    ProblemParams,
     Section,
     Warping,
     cost,
@@ -44,7 +43,7 @@ from .errors import CapacityError, DomainError, DtwMeanError
 from .meanapprox import CandidateSet, MeanResult, mean_c, mean_c_d
 from .oracle import OracleResult, exact_clustering, exact_mean
 from .ranges import ball_ranges, epsilon_net
-from .refine import BallUnion, ScaleLadder, grid_cover, grid_point, med_appr
+from .refine import BallUnion, grid_cover, grid_point, med_appr
 from .simplify import SimplificationResult, best_anchor, simplify
 from .synth import generate_synthetic
 
@@ -66,8 +65,6 @@ __all__ = [
     "MetricSpace",
     "OracleResult",
     "PointSequence",
-    "ProblemParams",
-    "ScaleLadder",
     "Section",
     "SimplificationResult",
     "Warping",

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import Dataset, cost
+from .core import Dataset
 from .dataio import load_dataset
 from .dba import dba, default_dba_init
 from .errors import CapacityError, DomainError, DtwMeanError
@@ -18,8 +19,8 @@ from .refine import med_appr
 
 THREADS_ENV = "DTWMEAN_THREADS"
 
-MEAN_ALGOS = ("sample", "net", "refine", "dba")
-BATTERY = ("sample", "net", "refine", "dba", "oracle")
+#: The algorithms `solve` runs, in battery order; only the oracle is exact.
+ALGOS = ("sample", "net", "refine", "dba", "oracle")
 
 
 @dataclass
@@ -45,10 +46,22 @@ class RunConfig:
             raise DomainError(f"run config must be a JSON object, got {obj!r}")
         if "algo" not in obj:
             raise DomainError("run config needs an 'algo' field")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(obj) - set(fields)
         if unknown:
             raise DomainError(f"unknown run config fields: {sorted(unknown)}")
+        for name, value in obj.items():
+            kind = fields[name].type  # "str", "int", "float", each maybe "| None"
+            if value is None and kind.endswith("| None"):
+                continue
+            if kind.startswith("str"):
+                ok = isinstance(value, str)
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                ok = False
+            else:
+                ok = isinstance(value, int) if kind.startswith("int") else -math.inf < value < math.inf
+            if not ok:
+                raise DomainError(f"run config field {name!r} must be {kind}, got {value!r}")
         return cls(**obj)
 
 
@@ -69,13 +82,49 @@ def objective_for(algo: str, p: float, q: float) -> tuple[float, float]:
     return p, q
 
 
+def solve(T: Dataset, cfg: RunConfig) -> dict:
+    """Run one algorithm: its `result`, `objective`, `candidates` and `flags`.
+
+    Raises DtwMeanError when the algorithm rejects its input or hits a guard.
+    """
+    candidates, flags = None, []
+    if cfg.algo in ("sample", "net", "refine"):
+        if cfg.algo == "sample":
+            res = mean_c(T, cfg.delta, cfg.eps, cfg.p, cfg.ell, cfg.seed)
+        elif cfg.algo == "net":
+            res = mean_c_d(T, cfg.eps, cfg.p, cfg.ell)
+        else:
+            res = med_appr(T, cfg.eps, cfg.p, cfg.delta, cfg.ell, cfg.seed)
+        result = {"sequence": res.sequence.as_list(), "cost": res.cost}
+        candidates, flags = res.candidates_scored, res.flags
+    elif cfg.algo == "dba":
+        res = dba(T, default_dba_init(T, cfg.ell, cfg.p), cfg.p, cfg.max_iters)
+        result = {"sequence": res.sequence.as_list(), "cost": res.cost, "trace": res.trace}
+    elif cfg.algo == "oracle":
+        q = cfg.q if cfg.q is not None else cfg.p
+        mode = cfg.mode or oracle_mode_for(cfg.p, q, T.dimension)
+        res = exact_mean(T, cfg.ell, mode, cfg.p, q)
+        result = {"sequence": res.mean.as_list(), "cost": res.cost, "mode": res.mode}
+    else:
+        raise DomainError(f"unknown benchmark algorithm {cfg.algo!r}")
+    return {
+        "result": result,
+        "objective": _objective(cfg),
+        "candidates": candidates,
+        "flags": list(flags),
+    }
+
+
+def _objective(cfg: RunConfig) -> dict:
+    p, q = objective_for(cfg.algo, cfg.p, cfg.q if cfg.q is not None else cfg.p)
+    return {"p": p, "q": q}
+
+
 def execute_run(T: Dataset, cfg: RunConfig) -> dict:
-    """Run one algorithm and report its sequence, cost and bookkeeping."""
-    q = cfg.q if cfg.q is not None else cfg.p
-    obj_p, obj_q = objective_for(cfg.algo, cfg.p, q)
+    """`solve` as a benchmark row; a failure is recorded in the row, not raised."""
     row: dict = {
         "algo": cfg.algo,
-        "objective": {"p": obj_p, "q": obj_q},
+        "objective": _objective(cfg),
         "seed": cfg.seed,
         "flags": [],
         "candidates": None,
@@ -83,40 +132,7 @@ def execute_run(T: Dataset, cfg: RunConfig) -> dict:
     }
     start = time.perf_counter()
     try:
-        if cfg.algo == "sample":
-            res = mean_c(T, cfg.delta, cfg.eps, cfg.p, cfg.ell, cfg.seed)
-            row["result"] = {"sequence": res.sequence.as_list(), "cost": res.cost}
-            row["candidates"] = res.candidates_scored
-            row["flags"].extend(res.flags)
-        elif cfg.algo == "net":
-            res = mean_c_d(T, cfg.eps, cfg.p, cfg.ell)
-            row["result"] = {"sequence": res.sequence.as_list(), "cost": res.cost}
-            row["candidates"] = res.candidates_scored
-            row["flags"].extend(res.flags)
-        elif cfg.algo == "refine":
-            res = med_appr(T, cfg.eps, cfg.p, cfg.delta, cfg.ell, cfg.seed)
-            row["result"] = {"sequence": res.sequence.as_list(), "cost": res.cost}
-            row["candidates"] = res.candidates_scored
-            row["flags"].extend(res.flags)
-        elif cfg.algo == "dba":
-            init = default_dba_init(T, cfg.ell, cfg.p)
-            res = dba(T, init, cfg.p, cfg.max_iters)
-            row["result"] = {
-                "sequence": res.sequence.as_list(),
-                "cost": res.cost,
-                "trace": res.trace,
-            }
-        elif cfg.algo == "oracle":
-            mode = cfg.mode or oracle_mode_for(cfg.p, q, T.dimension)
-            res = exact_mean(T, cfg.ell, mode, cfg.p, q)
-            row["objective"] = {"p": cfg.p, "q": q}
-            row["result"] = {
-                "sequence": res.mean.as_list(),
-                "cost": res.cost,
-                "mode": res.mode,
-            }
-        else:
-            raise DomainError(f"unknown benchmark algorithm {cfg.algo!r}")
+        row.update(solve(T, cfg))
     except DtwMeanError as exc:
         row["error"] = str(exc)
         row["flags"].append("capacity" if isinstance(exc, CapacityError) else "invalid")
@@ -124,13 +140,12 @@ def execute_run(T: Dataset, cfg: RunConfig) -> dict:
     return row
 
 
-def _oracle_optimum(T: Dataset, p: float, q: float, ell: int) -> dict:
-    mode = oracle_mode_for(p, q, T.dimension)
+def _oracle_optimum(T: Dataset, p: float, q: float, ell: int) -> dict | None:
+    """The exact mean's `result` under the inferred mode; None past its guard."""
     try:
-        res = exact_mean(T, ell, mode, p, q)
-        return {"cost": res.cost, "mode": mode, "feasible": True}
-    except CapacityError as exc:
-        return {"cost": None, "mode": mode, "feasible": False, "error": str(exc)}
+        return solve(T, RunConfig("oracle", p=p, q=q, ell=ell))["result"]
+    except CapacityError:
+        return None
 
 
 def max_workers() -> int:
@@ -178,7 +193,7 @@ def bench(
     else:
         rows = [one(cfg) for cfg in configs]
 
-    optima: dict[tuple, dict] = {}
+    optima: dict[tuple, dict | None] = {}
     for cfg, row in zip(configs, rows):
         if "result" not in row or cfg.algo == "oracle":
             if cfg.algo == "oracle" and "result" in row:
@@ -191,7 +206,7 @@ def bench(
                 dataset_for(cfg), obj["p"], obj["q"], cfg.ell
             )
         opt = optima[key]
-        if not opt["feasible"]:
+        if opt is None:
             row["flags"].append("no-oracle")
         elif opt["cost"] == 0.0:
             row["ratio"] = 1.0 if row["result"]["cost"] == 0.0 else None
@@ -205,10 +220,4 @@ def bench(
 
 def default_battery(cfg: RunConfig) -> list[RunConfig]:
     """The standard comparison battery derived from one base config."""
-    base = asdict(cfg)
-    out = []
-    for algo in BATTERY:
-        entry = dict(base)
-        entry["algo"] = algo
-        out.append(RunConfig.from_dict(entry))
-    return out
+    return [replace(cfg, algo=algo) for algo in ALGOS]

@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
-from .bench import (
-    RunConfig,
-    bench,
-    default_battery,
-    execute_run,
-    oracle_mode_for,
-)
+from .bench import ALGOS, RunConfig, bench, default_battery, oracle_mode_for, solve
 from .clustering import ClusteringParams, k_clustering
-from .core import dtw
-from .dataio import FORMATS, load_dataset, save_dataset
+from .core import Dataset, dtw
+from .dataio import FORMATS, load_dataset, load_input, save_dataset
 from .errors import CapacityError, DomainError
-from .oracle import MODES, exact_clustering, exact_mean
+from .oracle import MODES, exact_clustering
 from .simplify import simplify
 from .synth import generate_synthetic
 
@@ -65,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_mean)
     p_mean.add_argument(
         "--algo",
-        choices=("sample", "net", "refine", "dba"),
+        choices=ALGOS[:-1],  # the oracle has a command of its own
         default="sample",
         help="sample: randomized constant factor; net: deterministic constant "
         "factor; refine: (1+eps) median scheme; dba: averaging baseline",
@@ -117,6 +112,9 @@ def _effective_q(args) -> float:
 
 
 def _run_command(args) -> dict:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.command == "bench":
         return _cmd_bench(args)
     if args.command == "gen":
@@ -154,37 +152,20 @@ def _run_command(args) -> dict:
                 "cost": res.cost,
             }
         }
-    elif args.command == "oracle":
+    elif args.command == "oracle" and args.k is not None:
         mode = args.algo or oracle_mode_for(args.p, q, T.dimension)
-        if args.k is not None:
-            centers, total = exact_clustering(T, args.k, args.ell, mode, args.p, q)
-            body = {
-                "result": {
-                    "centers": [c.as_list() for c in centers],
-                    "cost": total,
-                    "mode": mode,
-                }
+        centers, total = exact_clustering(T, args.k, args.ell, mode, args.p, q)
+        body = {
+            "result": {
+                "centers": [c.as_list() for c in centers],
+                "cost": total,
+                "mode": mode,
             }
-        else:
-            res = exact_mean(T, args.ell, mode, args.p, q)
-            body = {
-                "result": {
-                    "sequence": res.mean.as_list(),
-                    "cost": res.cost,
-                    "mode": mode,
-                }
-            }
+        }
+    elif args.command == "oracle":
+        body = {"result": solve(T, _run_config(args, "oracle", mode=args.algo))["result"]}
     else:  # mean
-        cfg = RunConfig(
-            algo=args.algo, p=args.p, q=args.q, ell=args.ell, eps=args.eps,
-            delta=args.delta, seed=args.seed, max_iters=args.max_iters,
-        )
-        row = execute_run(T, cfg)
-        if "error" in row:
-            if "capacity" in row["flags"]:
-                raise CapacityError(row["error"])
-            raise DomainError(row["error"])
-        body = {k: row[k] for k in ("result", "objective", "candidates", "flags")}
+        body = solve(T, _run_config(args, args.algo, max_iters=args.max_iters))
     body["command"] = args.command
     body["config"] = _config_echo(args)
     body["runtime_ms"] = (time.perf_counter() - start) * 1000.0
@@ -198,27 +179,20 @@ def _config_echo(args) -> dict:
     }
 
 
-def _cmd_bench(args) -> dict:
-    path = Path(args.input)
-    text = path.read_text()
-    if not text.strip():
-        raise DomainError(f"{path}: empty file")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: invalid JSON ({exc})") from None
-    base = RunConfig(
-        algo="sample", p=args.p, q=args.q, ell=args.ell, eps=args.eps,
-        delta=args.delta, seed=args.seed,
+def _run_config(args, algo: str, **fields) -> RunConfig:
+    return RunConfig(
+        algo=algo, p=args.p, q=args.q, ell=args.ell, eps=args.eps,
+        delta=args.delta, seed=args.seed, **fields,
     )
-    if isinstance(obj, dict) and "runs" in obj:
-        if not isinstance(obj["runs"], list):
-            raise DomainError(f"{path}: 'runs' must be a list of run configs")
-        configs = [RunConfig.from_dict(entry) for entry in obj["runs"]]
-        report = bench(configs, default_dataset=None, parallel=args.parallel)
+
+
+def _cmd_bench(args) -> dict:
+    source = load_input(args.input, args.format)
+    if isinstance(source, Dataset):
+        configs, dataset = default_battery(_run_config(args, "sample")), source
     else:
-        T = load_dataset(args.input, args.format)
-        report = bench(default_battery(base), default_dataset=T, parallel=args.parallel)
+        configs, dataset = [RunConfig.from_dict(entry) for entry in source], None
+    report = bench(configs, default_dataset=dataset, parallel=args.parallel)
     report["command"] = "bench"
     report["config"] = _config_echo(args)
     return report

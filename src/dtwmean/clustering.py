@@ -106,10 +106,10 @@ def _cand1(
     size = cand1_sample_size(beta, delta, eps, p, m, ell)
     draws = rng.integers(0, len(pool_ids), size=size)
     sample = list(dict.fromkeys(pool_ids[draws].tolist()))
-    total = tuple_count(len(sample), ell)
+    total = tuple_count(len(sample), ell, CANDIDATE_GUARD)
     if total > CANDIDATE_GUARD:
         raise CapacityError(
-            f"{total} candidates exceed the guard of {CANDIDATE_GUARD}"
+            f"at least {total} candidates exceed the guard of {CANDIDATE_GUARD}"
         )
     return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
 

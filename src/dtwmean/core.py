@@ -162,24 +162,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ProblemParams:
-    """Parameter bundle (p, q, ell, eps, delta) shared by the approximation algorithms."""
-
-    p: float = 1.0
-    q: float = 1.0
-    ell: int = 2
-    eps: float = 1.0
-    delta: float = 0.1
-
-    def __post_init__(self) -> None:
-        require(self.p >= 1, "p must be >= 1")
-        require(self.q >= 1, "q must be >= 1")
-        require(self.ell >= 1, "ell must be >= 1")
-        require(self.eps > 0, "eps must be positive")
-        require(0 < self.delta < 1, "delta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class Warping:
     """A monotone coupling path through the index grid of two sequences.
 
@@ -205,10 +187,6 @@ class Warping:
                     f"illegal warping step from ({i0}, {j0}) to ({i1}, {j1})"
                 )
         require(len(self.pairs) <= m1 + m2 - 1, "warping longer than m1 + m2 - 1")
-
-
-def identity_warping(m: int) -> Warping:
-    return Warping(tuple((i, i) for i in range(1, m + 1)))
 
 
 @dataclass(frozen=True)

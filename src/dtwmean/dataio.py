@@ -89,11 +89,13 @@ def _dataset_from_csv(path: Path) -> Dataset:
     return Dataset(out)
 
 
-def load_dataset(path, fmt: str | None = None) -> Dataset:
-    """Read and validate a dataset file; see the module docstring for schemas."""
+def load_input(path, fmt: str | None = None) -> Dataset | list:
+    """A dataset file's dataset, or the entries of a JSON run list.
+
+    A run list is a JSON object with a ``runs`` key, which must hold a list.
+    """
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
+    if _infer_format(path, fmt) == "csv":
         return _dataset_from_csv(path)
     text = path.read_text()
     if not text.strip():
@@ -102,7 +104,19 @@ def load_dataset(path, fmt: str | None = None) -> Dataset:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON ({exc})") from None
-    return _dataset_from_obj(obj)
+    if not (isinstance(obj, dict) and "runs" in obj):
+        return _dataset_from_obj(obj)
+    if not isinstance(obj["runs"], list):
+        raise DomainError(f"{path}: 'runs' must be a list of run configs")
+    return obj["runs"]
+
+
+def load_dataset(path, fmt: str | None = None) -> Dataset:
+    """Read and validate a dataset file; see the module docstring for schemas."""
+    T = load_input(path, fmt)
+    if not isinstance(T, Dataset):
+        raise DomainError(f"{path}: holds a run list, not a dataset")
+    return T
 
 
 def dataset_to_obj(T: Dataset) -> dict:

@@ -47,7 +47,7 @@ class CandidateSet:
 
     def __len__(self) -> int:
         if self.listed is None:
-            return tuple_count(len(self.points), self.ell)
+            return tuple_count(len(self.points), self.ell, math.inf)
         return len(self.listed)
 
 
@@ -93,18 +93,28 @@ def enumerate_tuples(points: np.ndarray, ell: int) -> list[np.ndarray]:
     return out
 
 
-def tuple_count(u: int, ell: int) -> int:
-    return sum(u**L for L in range(1, ell + 1))
+def tuple_count(u: int, ell: int, guard: float) -> int:
+    """Number of sequences of length 1..ell over u points, summed by length
+    only until the total passes `guard`; a count above `guard` is a lower
+    bound, so a huge ell costs a few big-integer powers, not ell of them."""
+    if u <= 1:
+        return u * ell
+    total = 0
+    for L in range(1, ell + 1):
+        total += u**L
+        if total > guard:
+            break
+    return total
 
 
 def _cheapest_tuple(
     T: Dataset, points: np.ndarray, ell: int, p: float, provenance: str, hint: str = ""
 ) -> MeanResult:
     """Cheapest sequence of length <= ell over `points` under cost_p^p."""
-    total = tuple_count(len(points), ell)
+    total = tuple_count(len(points), ell, CANDIDATE_GUARD)
     if total > CANDIDATE_GUARD:
         raise CapacityError(
-            f"{total} candidates exceed the guard of {CANDIDATE_GUARD}{hint}"
+            f"at least {total} candidates exceed the guard of {CANDIDATE_GUARD}{hint}"
         )
     best, rows = argmin_fold(tuple_groups(T, points, ell, p, p))
     return MeanResult(

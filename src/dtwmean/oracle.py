@@ -162,10 +162,10 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
 
 def _exact_mean_discrete(T: Dataset, ell: int, p: float, q: float) -> OracleResult:
     pool = T.vertex_pool()
-    total = tuple_count(len(pool), ell)
+    total = tuple_count(len(pool), ell, TUPLE_GUARD)
     if total > TUPLE_GUARD:
         raise CapacityError(
-            f"{total} pool candidates exceed the guard of {TUPLE_GUARD}"
+            f"at least {total} pool candidates exceed the guard of {TUPLE_GUARD}"
         )
     best_cost, rows = argmin_fold(tuple_groups(T, pool, ell, p, q))
     best_seq = PointSequence(rows)

@@ -86,23 +86,15 @@ def _inscribed_cell_lower_bound(ball_union: BallUnion, gamma: float) -> int:
     return per_dim**d
 
 
-@dataclass(frozen=True)
-class ScaleLadder:
-    """Rough cost estimate R, its halving rungs, and the grid-size budget."""
-
-    R: float
-    rungs: tuple[float, ...]
-    beta: float
-
-    @classmethod
-    def build(
-        cls, R: float, n: int, m: int, ell: int, p: float, eps: float, d: int
-    ) -> "ScaleLadder":
-        require(R > 0, "R must be positive")
-        cap = math.ceil(3 + math.log2(m * ell) / p)
-        rungs = tuple(R * 2.0**-i / n for i in range(cap + 1))
-        beta = 2.0 * (68.0 * m ** (1.0 / p) / eps + 5.0) ** d
-        return cls(R=R, rungs=rungs, beta=beta)
+def scale_ladder(
+    R: float, n: int, m: int, ell: int, p: float, eps: float, d: int
+) -> tuple[tuple[float, ...], float]:
+    """Halving cost-scale rungs below the rough estimate R, and the grid-size budget beta."""
+    require(R > 0, "R must be positive")
+    cap = math.ceil(3 + math.log2(m * ell) / p)
+    rungs = tuple(R * 2.0**-i / n for i in range(cap + 1))
+    beta = 2.0 * (68.0 * m ** (1.0 / p) / eps + 5.0) ** d
+    return rungs, beta
 
 
 def rung_cell_width(r: float, m: int, p: float, eps: float, d: int) -> float:
@@ -155,13 +147,13 @@ def med_appr(
             PointSequence(winner), 0.0, candidates_scored=total, flags=["zero-cost-estimate"]
         )
 
-    ladder = ScaleLadder.build(R, n, m, ell, p, eps, d)
-    size_cap = ell * ladder.beta
+    rungs, beta = scale_ladder(R, n, m, ell, p, eps, d)
+    size_cap = ell * beta
 
     # grid covers in enumeration order, after the simplifications; duplicates
     # across rungs can only tie, and the strict argmin keeps the first one
     covers: list[np.ndarray] = []
-    for r in ladder.rungs:
+    for r in rungs:
         gamma = rung_cell_width(r, m, p, eps, d)
         require(gamma > 0, "grid cell width must be positive")
         for tau in sampled:
@@ -171,7 +163,7 @@ def med_appr(
             cover = grid_cover(union, gamma)
             if len(cover) == 0 or len(cover) > size_cap:
                 continue
-            added = tuple_count(len(cover), ell)
+            added = tuple_count(len(cover), ell, CANDIDATE_GUARD - total)
             if total + added > CANDIDATE_GUARD:
                 raise CapacityError(
                     f"candidate budget {CANDIDATE_GUARD} exceeded at rung r={r!r}"

@@ -9,6 +9,7 @@ from dtwmean.bench import (
     max_workers,
     objective_for,
     oracle_mode_for,
+    solve,
 )
 
 from conftest import random_dataset, seq
@@ -40,6 +41,11 @@ class TestDispatch:
         T = random_dataset(rng, n=2, max_len=2)
         row = execute_run(T, RunConfig(algo="bogus"))
         assert "error" in row and "invalid" in row["flags"]
+
+    def test_solve_raises_what_rows_capture(self, rng):
+        T = random_dataset(rng, n=2, max_len=2)
+        with pytest.raises(DomainError, match="unknown benchmark algorithm"):
+            solve(T, RunConfig(algo="bogus"))
 
 
 class TestBench:

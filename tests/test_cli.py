@@ -3,7 +3,7 @@ import json
 import pytest
 
 import dtwmean.core as core
-from dtwmean import Dataset, cost, save_dataset
+from dtwmean import Dataset, cost, load_dataset, save_dataset
 from dtwmean.cli import main
 
 from conftest import random_dataset, seq
@@ -100,6 +100,15 @@ class TestCommands:
             if row["ratio"] is not None:
                 assert row["ratio"] >= 1.0 - 1e-12
 
+    def test_bench_reads_csv(self, capsys, tmp_path, dataset_path):
+        csv_path = tmp_path / "data.csv"
+        save_dataset(load_dataset(dataset_path), csv_path)
+        argv = ["--p", "1", "--eps", "1", "--delta", "0.2", "--ell", "2", "--seed", "2"]
+        code_csv, rep_csv = run_cli(capsys, "bench", "--input", str(csv_path), *argv)
+        code_json, rep_json = run_cli(capsys, "bench", "--input", dataset_path, *argv)
+        assert code_csv == code_json == 0
+        assert strip_timing(rep_csv["runs"]) == strip_timing(rep_json["runs"])
+
     def test_bench_explicit_runs_and_empty(self, capsys, tmp_path, dataset_path):
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps({"runs": [
@@ -128,6 +137,44 @@ class TestExitCodes:
         path.write_text(json.dumps(batch))
         assert main(["bench", "--input", str(path)]) == 2
         assert "run config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry", [{"p": "x"}, {"max_iters": None}, {"input": 5}, {"ell": 2.0}, {"eps": "inf"}]
+    )
+    def test_bench_mistyped_run_field(self, capsys, tmp_path, dataset_path, entry):
+        path = tmp_path / "batch.json"
+        run = {"algo": "sample", "input": dataset_path, **entry}
+        path.write_text(json.dumps({"runs": [run]}).replace('"inf"', "Infinity"))
+        assert main(["bench", "--input", str(path)]) == 2
+        assert "run config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mean", "--p", "inf"],
+            ["mean", "--eps", "inf"],
+            ["cluster", "--k", "2", "--beta", "5", "--p", "inf"],
+            ["cluster", "--k", "2", "--beta", "inf"],
+        ],
+    )
+    def test_non_finite_flag(self, capsys, dataset_path, argv):
+        assert main([*argv, "--input", dataset_path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mean", "--algo", "sample"],
+            ["mean", "--algo", "net"],
+            ["mean", "--algo", "refine"],
+            ["oracle", "--algo", "discrete"],
+            ["cluster", "--k", "2", "--beta", "5"],
+        ],
+    )
+    def test_huge_ell_hits_guard_at_once(self, capsys, dataset_path, argv):
+        assert main([*argv, "--input", dataset_path, "--ell", "100000000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity guard") and len(err) < 200
 
     def test_capacity_error(self, capsys, tmp_path, rng):
         T = random_dataset(rng, n=6, max_len=8, min_len=8)

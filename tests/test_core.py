@@ -13,7 +13,6 @@ from dtwmean import (
     DomainError,
     MetricSpace,
     PointSequence,
-    ProblemParams,
     Warping,
     best_anchor,
     cost,
@@ -67,19 +66,6 @@ class TestPointSequence:
     def test_vertex_pool_dedups_in_order(self):
         T = Dataset([seq(1, 0), seq(0, 2)])
         assert T.vertex_pool().ravel().tolist() == [1.0, 0.0, 2.0]
-
-
-class TestProblemParams:
-    def test_valid(self):
-        ProblemParams(p=1.5, q=1, ell=3, eps=0.25, delta=0.5)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(p=0.5), dict(q=0.0), dict(ell=0), dict(eps=0.0), dict(delta=1.0)],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            ProblemParams(**kwargs)
 
 
 class TestDtw:

@@ -9,14 +9,13 @@ from dtwmean import (
     BallUnion,
     Dataset,
     DomainError,
-    ScaleLadder,
     cost,
     exact_mean,
     grid_cover,
     grid_point,
     med_appr,
 )
-from dtwmean.refine import rung_cell_width
+from dtwmean.refine import rung_cell_width, scale_ladder
 
 from conftest import random_dataset, seq
 
@@ -96,16 +95,16 @@ class TestGridCover:
 
 class TestScaleLadder:
     def test_budget_example(self):
-        ladder = ScaleLadder.build(R=1.0, n=1, m=2, ell=1, p=1.0, eps=4.0, d=1)
-        assert ladder.beta == 78.0
+        _, beta = scale_ladder(R=1.0, n=1, m=2, ell=1, p=1.0, eps=4.0, d=1)
+        assert beta == 78.0
 
     def test_rung_example(self):
-        ladder = ScaleLadder.build(R=16.0, n=4, m=2, ell=2, p=1.0, eps=1.0, d=1)
-        assert list(ladder.rungs) == [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+        rungs, _ = scale_ladder(R=16.0, n=4, m=2, ell=2, p=1.0, eps=1.0, d=1)
+        assert list(rungs) == [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
 
     def test_cell_width_relation(self):
-        ladder = ScaleLadder.build(R=8.0, n=2, m=3, ell=2, p=2.0, eps=0.5, d=2)
-        for r in ladder.rungs:
+        rungs, _ = scale_ladder(R=8.0, n=2, m=3, ell=2, p=2.0, eps=0.5, d=2)
+        for r in rungs:
             gamma = rung_cell_width(r, 3, 2.0, 0.5, 2)
             assert gamma == 0.5 * r / ((2 * 3) ** 0.5 * math.sqrt(2))
 
