@@ -94,5 +94,4 @@ __all__ = [
     "sections",
     "simplify",
     "warping_count",
-    "weak_triangle_check",
 ]

@@ -34,7 +34,7 @@ import numpy as np
 from ._batch import argmin_first, cost_rows
 from .core import Dataset, PointSequence, dtw_distances
 from .errors import CapacityError, require
-from .meanapprox import CANDIDATE_GUARD, CandidateSet, tuple_count
+from .meanapprox import CANDIDATE_GUARD, CandidateSet, guard_draws, tuple_count
 from .simplify import simplify
 
 NODE_GUARD = 1_000_000
@@ -103,7 +103,7 @@ def _cand1(
     first-occurrence order) and `m` their largest complexity.  The tuples come
     by length, then lexicographic in sample order.
     """
-    size = cand1_sample_size(beta, delta, eps, p, m, ell)
+    size = guard_draws(cand1_sample_size(beta, delta, eps, p, m, ell))
     draws = rng.integers(0, len(pool_ids), size=size)
     sample = list(dict.fromkeys(pool_ids[draws].tolist()))
     total = tuple_count(len(sample), ell, CANDIDATE_GUARD)
@@ -122,7 +122,7 @@ def _cand2(
     Maps each simplification's pool-id tuple to the first sequence drawn
     that yields it; `simplified(i)` gives the tuple of sequence i.
     """
-    draws = rng.integers(0, len(active), size=cand2_sample_size(beta, delta))
+    draws = rng.integers(0, len(active), size=guard_draws(cand2_sample_size(beta, delta)))
     out: dict[tuple[int, ...], int] = {}
     for i in draws.tolist():
         out.setdefault(simplified(active[i]), active[i])

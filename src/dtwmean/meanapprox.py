@@ -24,6 +24,9 @@ from .ranges import epsilon_net
 #: Cap on the number of enumerated candidate sequences.
 CANDIDATE_GUARD = 100_000
 
+#: Cap on the draws of one sampling step (vertices or whole sequences).
+SAMPLE_GUARD = 10_000_000
+
 
 @dataclass
 class CandidateSet:
@@ -69,6 +72,14 @@ def eps_prime(eps: float, p: float) -> float:
 def mean_c_sample_size(m: int, ell: int, delta: float, eps: float, p: float) -> int:
     """Number of pool vertices the randomized mean algorithm draws."""
     return math.ceil(m * (math.log(ell) + math.log(1.0 / delta)) / eps_prime(eps, p))
+
+
+def guard_draws(size: int) -> int:
+    """`size`, or a `CapacityError` before anything is drawn if it exceeds
+    `SAMPLE_GUARD`."""
+    if size > SAMPLE_GUARD:
+        raise CapacityError(f"{size} draws exceed the sample guard of {SAMPLE_GUARD}")
+    return size
 
 
 def dedup_rows(rows: np.ndarray) -> np.ndarray:
@@ -139,7 +150,7 @@ def mean_c(
     require(p >= 1, "p must be >= 1")
     require(ell >= 1, "ell must be >= 1")
     pool = T.vertex_pool()
-    size = mean_c_sample_size(T.m, ell, delta, eps, p)
+    size = guard_draws(mean_c_sample_size(T.m, ell, delta, eps, p))
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, len(pool), size=size)
     sample = dedup_rows(pool[draws])

@@ -94,6 +94,7 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
     best_vertices: list | None = None
     best_tuple: list[Warping] | None = None
 
+    # every mean length is checked against the guard before any is searched
     for ellp in range(1, ell + 1):
         tuples = 1
         for mi in lengths:
@@ -103,6 +104,8 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
                     f"{tuples}+ warping tuples at mean length {ellp} exceed "
                     f"the guard of {TUPLE_GUARD}"
                 )
+
+    for ellp in range(1, ell + 1):
         per_seq = []
         for tau in T.sequences:
             per_seq.append(

@@ -9,14 +9,22 @@ canonical equidistant sphere of every affinely independent subset of size at
 most d+1 and emit the strictly-inside set joined with every subset of the
 boundary points.  Affinely dependent tuples are skipped.
 
+The enumeration is batched by subset size k: one stacked rank test, one
+stacked solve for the sphere centers and one (subsets x points) membership
+test per chunk of subsets.  A range is an int64 bitmask over the point
+indices (at most `MAX_GROUND_POINTS` < 63 bits), so the 2^k boundary choices
+of every sphere are one broadcast OR and the distinct ranges one
+`np.unique`.  Only `ball_ranges` turns masks into frozensets.
+
 `epsilon_net` builds a deterministic net by greedy hitting-set over the
-explicitly enumerated heavy ranges, which is exactly the property the
-derandomized mean algorithm needs at desk scale.
+explicitly enumerated heavy ranges, held as a (ranges x points) incidence
+matrix, which is exactly the property the derandomized mean algorithm needs
+at desk scale.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -32,40 +40,59 @@ _HEAVY_SLACK = 1e-9
 
 _RANK_TOL = 1e-9
 
+# cap on elements of the (subsets, n, d) offset block per chunk
+_CHUNK_ELEMENTS = 1 << 20
 
-def _equidistant_sphere(pts: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Center (within the affine hull) and radius of the sphere through pts.
 
-    Returns None for affinely dependent tuples.
+def _sphere_ranges(Y: np.ndarray, combos: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """Range bitmasks of the equidistant spheres of a (S, k) stack of subsets.
+
+    Each sphere's center lies in its subset's affine hull; affinely
+    dependent subsets, and those whose system is singular or whose points
+    are not equidistant from the solved center, contribute nothing.
     """
-    k = pts.shape[0]
-    base = pts[0]
+    pts = Y[combos]  # (S, k, d)
+    k = combos.shape[1]
     if k == 1:
-        return base.copy(), 0.0
-    V = pts[1:] - base  # (k-1, d)
-    scale = max(1.0, float(np.abs(V).max()))
-    if np.linalg.matrix_rank(V, tol=_RANK_TOL * scale) < k - 1:
-        return None
-    gram = 2.0 * (V @ V.T)
-    rhs = (V * V).sum(axis=1)
+        center, r = pts[:, 0], np.zeros(len(pts))
+    else:
+        base = pts[:, 0]
+        V = pts[:, 1:] - base[:, None]  # (S, k-1, d)
+        scale = np.maximum(1.0, np.abs(V).max(axis=(1, 2)))
+        keep = np.linalg.matrix_rank(V, tol=_RANK_TOL * scale) == k - 1
+        pts, base, V, combos = pts[keep], base[keep], V[keep], combos[keep]
+        gram = 2.0 * (V @ V.transpose(0, 2, 1))
+        rhs = (V * V).sum(axis=2)[..., None]
+        try:
+            t = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            # a stacked solve fails as a whole; drop only the singular systems
+            solved = [_solve_or_none(g, b) for g, b in zip(gram, rhs)]
+            keep = np.array([s is not None for s in solved], dtype=bool)
+            pts, base, V, combos = pts[keep], base[keep], V[keep], combos[keep]
+            t = np.array([s for s in solved if s is not None]).reshape(len(V), k - 1, 1)
+        center = base + (V.transpose(0, 2, 1) @ t)[..., 0]
+        radii = np.linalg.norm(pts - center[:, None], axis=2)
+        r = radii[:, 0]
+        keep = (np.abs(radii - r[:, None]) <= 1e-6 * np.maximum(1.0, r)[:, None]).all(axis=1)
+        center, r, combos = center[keep], r[keep], combos[keep]
+    dists = np.linalg.norm(Y[None] - center[:, None], axis=2)  # (S, n)
+    members = bit[combos]  # (S, k)
+    inside = np.where(dists <= r[:, None], bit, 0).sum(axis=1) & ~members.sum(axis=1)
+    choice = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1  # (2^k, k)
+    return (inside[:, None] | (members[:, None, :] * choice).sum(axis=2)).ravel()
+
+
+def _solve_or_none(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     try:
-        t = np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         return None
-    center = base + V.T @ t
-    radii = np.linalg.norm(pts - center, axis=1)
-    r = float(radii[0])
-    if not np.all(np.abs(radii - r) <= 1e-6 * max(1.0, r)):
-        return None
-    return center, r
 
 
-def ball_ranges(points) -> list[frozenset[int]]:
-    """All distinct intersections of Euclidean balls with a finite point set.
-
-    Input points must be pairwise distinct.  Ranges are returned as frozensets
-    of point indices, sorted by (size, elements) for determinism.
-    """
+def _range_masks(points) -> tuple[np.ndarray, int]:
+    """Distinct ball ranges of a point set as sorted int64 bitmasks (bit i is
+    point i, the empty range included), and the number of points."""
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     if Y.ndim != 2:
         raise DomainError("points must form an (n, d) array")
@@ -80,22 +107,32 @@ def ball_ranges(points) -> list[frozenset[int]]:
     keys = {tuple(v) for v in Y}
     require(len(keys) == n, "ground set points must be pairwise distinct")
 
-    found: set[frozenset[int]] = {frozenset()}
-    idx = np.arange(n)
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    found = [np.zeros(1, dtype=np.int64)]
+    chunk = max(1, _CHUNK_ELEMENTS // (n * d))
     for k in range(1, min(d + 1, n) + 1):
-        for combo in combinations(range(n), k):
-            sphere = _equidistant_sphere(Y[list(combo)])
-            if sphere is None:
-                continue
-            center, r = sphere
-            dists = np.linalg.norm(Y - center, axis=1)
-            inside = frozenset(int(i) for i in idx[dists <= r]) - frozenset(combo)
-            for mask in range(1 << k):
-                chosen = frozenset(
-                    combo[b] for b in range(k) if mask >> b & 1
-                )
-                found.add(inside | chosen)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        flat = chain.from_iterable(combinations(range(n), k))
+        combos = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+        for s in range(0, len(combos), chunk):
+            found.append(_sphere_ranges(Y, combos[s : s + chunk], bit))
+    return np.unique(np.concatenate(found)), n
+
+
+def _incidence(masks: np.ndarray, n: int) -> np.ndarray:
+    """(ranges, n) bool matrix: entry (j, i) says range j holds point i."""
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def ball_ranges(points) -> list[frozenset[int]]:
+    """All distinct intersections of Euclidean balls with a finite point set.
+
+    Input points must be pairwise distinct.  Ranges are returned as frozensets
+    of point indices, sorted by (size, elements) for determinism.
+    """
+    masks, n = _range_masks(points)
+    rows = [np.flatnonzero(row).tolist() for row in _incidence(masks, n)]
+    rows.sort(key=lambda s: (len(s), s))
+    return [frozenset(s) for s in rows]
 
 
 def heavy_threshold(eps: float, n: int) -> float:
@@ -107,7 +144,7 @@ def epsilon_net(points, eps: float) -> np.ndarray:
 
     Every ball range containing at least an eps fraction of the (distinct)
     points intersects the returned set.  Built by greedy hitting-set over the
-    heavy ranges enumerated by :func:`ball_ranges`; ties resolve to the
+    heavy ranges enumerated as in :func:`ball_ranges`; ties resolve to the
     smallest point index.
     """
     require(0 < eps <= 1, "eps must lie in (0, 1]")
@@ -118,17 +155,13 @@ def epsilon_net(points, eps: float) -> np.ndarray:
     Q = np.array(list(seen), dtype=float)
     nq = Q.shape[0]
 
-    threshold = heavy_threshold(eps, nq)
-    heavy = [R for R in ball_ranges(Q) if len(R) > 0 and len(R) >= threshold]
+    incidence = _incidence(*_range_masks(Q))
+    sizes = incidence.sum(axis=1)
+    unhit = incidence[(sizes > 0) & (sizes >= heavy_threshold(eps, nq))]
 
     chosen: list[int] = []
-    unhit = heavy
-    while unhit:
-        counts = np.zeros(nq, dtype=int)
-        for R in unhit:
-            for i in R:
-                counts[i] += 1
-        pick = int(np.argmax(counts))
+    while len(unhit):
+        pick = int(np.argmax(unhit.sum(axis=0)))
         chosen.append(pick)
-        unhit = [R for R in unhit if pick not in R]
+        unhit = unhit[~unhit[:, pick]]
     return Q[chosen]

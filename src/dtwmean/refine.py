@@ -7,6 +7,12 @@ optimal cost.  At that rung, a grid of cell width proportional to eps*r laid
 over balls around a sampled sequence close to the optimum contains, vertex by
 vertex, a snapped copy of the optimal mean, so enumerating all short
 sequences of grid points and keeping the cheapest yields the guarantee.
+
+Sequences are sampled with replacement, so the same cover recurs.  Each
+distinct sampled sequence's cover is built once per rung, and a cover equal
+to one already enumerated is counted in `candidates_scored` and against
+`CANDIDATE_GUARD` like any other, but its tuples are not scored again: they
+can only tie, and ties keep the first candidate.
 """
 
 from __future__ import annotations
@@ -113,6 +119,8 @@ def med_appr(
 
     Ties in the final argmin resolve to the first candidate in enumeration
     order (sampled simplifications first, then grid tuples rung by rung).
+    `candidates_scored` counts every enumerated tuple, those of a repeated
+    grid cover included, although a repeated cover is not rescored.
     """
     require(eps > 0, "eps must be positive")
     require(p >= 1, "p must be >= 1")
@@ -127,10 +135,8 @@ def med_appr(
         )
 
     rng = np.random.default_rng(seed)
-    sampled = [
-        T.sequences[i]
-        for i in rng.integers(0, n, size=estimate_sample_count(delta))
-    ]
+    draws = rng.integers(0, n, size=estimate_sample_count(delta)).tolist()
+    sampled = [T.sequences[i] for i in draws]
 
     simp_blocks: dict[int, list[np.ndarray]] = {}
     for tau in sampled:
@@ -150,18 +156,21 @@ def med_appr(
     rungs, beta = scale_ladder(R, n, m, ell, p, eps, d)
     size_cap = ell * beta
 
-    # grid covers in enumeration order, after the simplifications; duplicates
-    # across rungs can only tie, and the strict argmin keeps the first one
+    # grid covers in enumeration order, after the simplifications; a repeated
+    # cover is counted but queued once (see the module docstring)
     covers: list[np.ndarray] = []
+    queued: set[tuple] = set()
     for r in rungs:
         gamma = rung_cell_width(r, m, p, eps, d)
         require(gamma > 0, "grid cell width must be positive")
-        for tau in sampled:
-            union = BallUnion(centers=tau.vertices, radius=4.0 * r)
-            if _inscribed_cell_lower_bound(union, gamma) > size_cap:
-                continue
-            cover = grid_cover(union, gamma)
-            if len(cover) == 0 or len(cover) > size_cap:
+        built: dict[int, np.ndarray | None] = {}
+        for i in draws:
+            if i not in built:
+                union = BallUnion(centers=T.sequences[i].vertices, radius=4.0 * r)
+                small = _inscribed_cell_lower_bound(union, gamma) <= size_cap
+                built[i] = grid_cover(union, gamma) if small else None
+            cover = built[i]
+            if cover is None or len(cover) == 0 or len(cover) > size_cap:
                 continue
             added = tuple_count(len(cover), ell, CANDIDATE_GUARD - total)
             if total + added > CANDIDATE_GUARD:
@@ -169,7 +178,10 @@ def med_appr(
                     f"candidate budget {CANDIDATE_GUARD} exceeded at rung r={r!r}"
                 )
             total += added
-            covers.append(cover)
+            key = (cover.shape, cover.tobytes())
+            if key not in queued:
+                queued.add(key)
+                covers.append(cover)
 
     best_cost, winner = argmin_fold(
         chain.from_iterable(tuple_groups(T, c, ell, p, 1.0) for c in covers),

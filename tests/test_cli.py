@@ -3,10 +3,13 @@ import json
 import pytest
 
 import dtwmean.core as core
+import dtwmean.meanapprox as meanapprox
+import dtwmean.oracle as oracle
 from dtwmean import Dataset, cost, load_dataset, save_dataset
 from dtwmean.cli import main
 
 from conftest import random_dataset, seq
+from test_golden_cli import golden_datasets
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict | None]:
@@ -185,6 +188,28 @@ class TestExitCodes:
              "--eps", "0.05", "--delta", "0.01"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["mean", "--algo", "sample"], ["cluster", "--k", "2", "--beta", "5"]]
+    )
+    def test_sample_guard(self, capsys, monkeypatch, dataset_path, argv):
+        monkeypatch.setattr(meanapprox, "SAMPLE_GUARD", 1)
+        assert main([*argv, "--input", dataset_path]) == 3
+        assert "draws exceed the sample guard of 1" in capsys.readouterr().err
+
+    def test_oracle_checks_every_length_before_searching(self, capsys, monkeypatch, tmp_path):
+        # the d = 1 golden dataset passes the warping-tuple guard at mean
+        # lengths 1-19 and trips it at 20, before any warping is enumerated
+        searched = []
+        monkeypatch.setattr(oracle, "enumerate_warpings", lambda *a: searched.append(a))
+        path = tmp_path / "d1.json"
+        path.write_text(golden_datasets()["d1.json"])
+        assert main(["oracle", "--input", str(path), "--ell", "100000000000"]) == 3
+        assert capsys.readouterr().err == (
+            "capacity guard: 1157481+ warping tuples at mean length 20 exceed "
+            "the guard of 1000000\n"
+        )
+        assert searched == []
 
     @pytest.mark.parametrize("command", ["dtw", "simplify"])
     def test_distance_guard(self, capsys, monkeypatch, dataset_path, command):

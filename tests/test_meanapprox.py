@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import dtwmean.meanapprox as meanapprox
 from dtwmean import (
     CapacityError,
     Dataset,
+    cand1,
+    cand2,
     cost,
     exact_mean,
     mean_c,
     mean_c_d,
 )
+from dtwmean.clustering import cand1_sample_size, cand2_sample_size
 from dtwmean.meanapprox import eps_prime, mean_c_sample_size
 
 from conftest import random_dataset, seq
@@ -26,6 +30,47 @@ class TestSampleSize:
         assert mean_c_sample_size(4, 2, 0.01, 1.0, 1.0) >= mean_c_sample_size(
             4, 2, 0.5, 1.0, 1.0
         )
+
+
+class TestSampleGuard:
+    """Every sampling step checks its draw count against `SAMPLE_GUARD` before
+    it draws.  Only the guard is lowered: the instances stay tiny."""
+
+    T = Dataset([seq(0.0, 1.0), seq(0.5, 2.0, 1.0), seq(1.0, 1.5)])
+    RUNS = {
+        "mean_c": (
+            mean_c_sample_size(3, 2, 0.3, 1.0, 1.0),
+            lambda T: mean_c(T, 0.3, 1.0, 1.0, 2, seed=0),
+        ),
+        "cand1": (
+            cand1_sample_size(5.0, 0.3, 1.0, 1.0, 3, 2),
+            lambda T: cand1(T, 5.0, 0.3, 1.0, 1.0, 2, seed=0),
+        ),
+        "cand2": (cand2_sample_size(5.0, 0.3), lambda T: cand2(T, 5.0, 1.0, 0.3, 2, seed=0)),
+    }
+
+    @pytest.mark.parametrize("algo", sorted(RUNS))
+    def test_guard_checked_before_drawing(self, monkeypatch, algo):
+        size, run = self.RUNS[algo]
+        drawn = []
+        real_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                drawn.append(kwargs["size"])
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        monkeypatch.setattr(meanapprox, "SAMPLE_GUARD", size - 1)
+        with pytest.raises(CapacityError, match=f"^{size} draws exceed the sample guard of {size - 1}$"):
+            run(self.T)
+        assert drawn == []
+        monkeypatch.setattr(meanapprox, "SAMPLE_GUARD", size)
+        run(self.T)
+        assert drawn == [size]
 
 
 class TestMeanC:

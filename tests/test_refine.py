@@ -15,6 +15,8 @@ from dtwmean import (
     grid_point,
     med_appr,
 )
+import dtwmean.refine as refine
+from dtwmean import CapacityError
 from dtwmean.refine import rung_cell_width, scale_ladder
 
 from conftest import random_dataset, seq
@@ -176,3 +178,51 @@ class TestMedAppr:
         from dtwmean.simplify import simplify
 
         assert res.cost == pytest.approx(cost(T, res.sequence, 1, 1), rel=1e-9)
+
+
+class TestRepeatedCovers:
+    """Seed 3 draws the sequences [3, 0, 0, 0], so sequence 0's cover repeats
+    twice at each of the 7 rungs.  The expected counts, cost and guard
+    message were recorded from the implementation that built and scored
+    every drawn cover (28 `grid_cover` calls)."""
+
+    T = Dataset([seq(0.0, 1.0), seq(0.2, 0.9, 1.1), seq(0.1, 1.0), seq(0.0, 0.5, 1.2)])
+    ARGS = (1.0, 1.0, 0.2, 2, 3)  # eps, p, delta, ell, seed
+
+    def test_draws_repeat(self):
+        draws = np.random.default_rng(3).integers(0, 4, size=4).tolist()
+        assert draws == [3, 0, 0, 0]
+
+    def test_one_cover_per_distinct_draw_and_rung(self, monkeypatch):
+        calls, scored = [], []
+        real_cover, real_groups = refine.grid_cover, refine.tuple_groups
+
+        def counting_cover(union, gamma):
+            calls.append((gamma, union.centers.tobytes()))
+            return real_cover(union, gamma)
+
+        def counting_groups(T, points, *args):
+            scored.append(points.tobytes())
+            return real_groups(T, points, *args)
+
+        monkeypatch.setattr(refine, "grid_cover", counting_cover)
+        monkeypatch.setattr(refine, "tuple_groups", counting_groups)
+        res = refine.med_appr(self.T, *self.ARGS)
+        gammas = list(dict.fromkeys(g for g, _ in calls))
+        assert len(gammas) == 7
+        own = [self.T.sequences[i].vertices.tobytes() for i in (3, 0)]
+        assert calls == [(g, c) for g in gammas for c in own]
+        assert len(scored) == len(set(scored)) == 14
+        assert res.candidates_scored == 303604
+        assert res.cost.hex() == "0x1.199999999999bp+0"
+        assert res.flags == []
+
+    def test_repeated_covers_count_against_the_guard(self, monkeypatch):
+        # 181536 is the 4 simplifications plus every distinct cover's tuples
+        # counted once, so only the repeats push the count over it
+        monkeypatch.setattr(refine, "CANDIDATE_GUARD", 181536)
+        with pytest.raises(CapacityError) as err:
+            refine.med_appr(self.T, *self.ARGS)
+        assert str(err.value) == "candidate budget 181536 exceeded at rung r=0.018750000000000003"
+        monkeypatch.setattr(refine, "CANDIDATE_GUARD", 303604)
+        assert refine.med_appr(self.T, *self.ARGS).candidates_scored == 303604
