@@ -1,18 +1,24 @@
 """Vectorized scoring of many candidate sequences against one dataset.
 
 The candidate-search algorithms all end with an argmin of cost over a large
-enumerated candidate set.  This module runs the tiny DTW dynamic program
-simultaneously across the whole candidate axis with numpy, chunked to keep
-intermediates small.  `score_candidates` agrees with the scalar path up to
-float round-off in the final powers; `cost_rows`, which keeps one entry per
-input sequence, is bit-identical to it.
+candidate set.  This module runs the tiny DTW dynamic program across the
+whole candidate axis with numpy, through one recurrence, `_extend`, over
+tables from `core.pow_dist_matrix`, chunked to keep intermediates small.
+Every DP end cell equals scalar `dtw`'s p-th-power distance bit for bit.
+The entry points differ only in how they take the final powers:
+
+* `cost_rows`, which keeps one entry per input sequence, takes them with
+  Python float ``**`` as scalar `dtw` does, so each entry is bit-identical
+  to ``dtw(c, tau, p).distance ** q``;
+* `score_candidates` and `score_tuples` take numpy array powers and add
+  them up in sequence order, so their scores are bit-identical to each
+  other (numpy's array ``**`` rounds differently from Python's in the last
+  bit for some elements).
 
 Most candidate sets are all sequences of length 1..ell over a table of u
 points.  Row r of such a sequence's DTW grid depends only on its first r
 vertices, so `score_tuples` fills each row once per prefix and extends it to
-all u next vertices by broadcasting.  Its per-cell adds and mins and its
-final powers are those of `score_candidates`, so its scores are
-bit-identical to `score_candidates` on the materialized tuples.
+all u next vertices by broadcasting.
 """
 
 from __future__ import annotations
@@ -21,86 +27,56 @@ import math
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, pow_dist_matrix
 
-# cap on elements of the (K, L, m) distance block per chunk
+# cap on elements of one chunk's distance tables and DP rows
 _BLOCK_ELEMENTS = 4_000_000
 
 
-def dtw_pow_block(tau: np.ndarray, cands: np.ndarray, p: float) -> np.ndarray:
-    """min over warpings of the summed p-th-power distances, per candidate.
-
-    tau: (m, d) vertices; cands: (K, L, d) candidate vertices.  Returns (K,).
-    """
-    diff = cands[:, :, None, :] - tau[None, None, :, :]
-    powd = np.sqrt((diff * diff).sum(axis=-1)) ** p  # (K, L, m)
-    K, L, m = powd.shape
-    acc = np.empty_like(powd)
-    acc[:, 0, 0] = powd[:, 0, 0]
-    for k in range(1, m):
-        acc[:, 0, k] = acc[:, 0, k - 1] + powd[:, 0, k]
-    for j in range(1, L):
-        acc[:, j, 0] = acc[:, j - 1, 0] + powd[:, j, 0]
-        for k in range(1, m):
-            best = np.minimum(acc[:, j - 1, k - 1], acc[:, j - 1, k])
-            np.minimum(best, acc[:, j, k - 1], out=best)
-            acc[:, j, k] = powd[:, j, k] + best
-    return acc[:, -1, -1]
-
-
-def score_block(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
-    """cost_p^q of every candidate in a (K, L, d) block."""
-    total = np.zeros(cands.shape[0])
-    for tau in T.sequences:
-        pow_acc = dtw_pow_block(tau.vertices, cands, p)
-        total += (pow_acc ** (1.0 / p)) ** q
-    return total
-
-
-def _chunk(T: Dataset, L: int) -> int:
-    return max(1, _BLOCK_ELEMENTS // max(1, L * T.m))
+def _listed_ends(T: Dataset, cands: np.ndarray, p: float) -> np.ndarray:
+    """(n, K) DP end cells, the p-th-power DTW distances, of a (K, L, d)
+    candidate array against every sequence of T."""
+    K, L, d = cands.shape
+    ends = np.empty((T.n, K))
+    step = max(1, _BLOCK_ELEMENTS // (L * T.m * d))
+    for s in range(0, K, step):
+        flat = cands[s : s + step].reshape(-1, d)
+        for j, tau in enumerate(T.sequences):
+            # D[k, c, i] = |cands[s + c, i] - tau[k]|^p
+            D = pow_dist_matrix(tau.vertices, flat, p).reshape(len(tau), -1, L)
+            rows = np.cumsum(D[:, :, 0], axis=0)
+            for i in range(1, L):
+                rows = _extend(rows, D[:, :, i, None], i + 1 < L)
+            ends[j, s : s + step] = rows[-1]
+    return ends
 
 
 def score_candidates(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Chunked cost_p^q scores for a (K, L, d) candidate array."""
-    K, L, _ = cands.shape
-    if K == 0:
-        return np.empty(0)
-    chunk = _chunk(T, L)
-    if K <= chunk:
-        return score_block(T, cands, p, q)
-    parts = [
-        score_block(T, cands[s : s + chunk], p, q) for s in range(0, K, chunk)
-    ]
-    return np.concatenate(parts)
+    """cost_p^q scores for a (K, L, d) candidate array."""
+    total = np.zeros(len(cands))
+    for end in _listed_ends(T, cands, p):
+        total += (end ** (1.0 / p)) ** q
+    return total
 
 
 def cost_rows(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
-    """(K, n) matrix of dtw_p(c, tau)^q for a (K, L, d) candidate array.
-
-    Every entry equals scalar ``dtw(c, tau, p).distance ** q`` bit for bit:
-    the DP does the same per-cell adds and mins, and both powers are taken
-    with Python float ``**`` as there, since numpy's array ``**`` rounds
-    differently in the last bit for some elements.
-    """
-    K, L, _ = cands.shape
-    out = np.empty((K, T.n))
+    """(K, n) matrix of dtw_p(c, tau)^q for a (K, L, d) candidate array,
+    each entry equal to scalar ``dtw(c, tau, p).distance ** q`` bit for bit."""
+    out = np.empty((len(cands), T.n))
     inv_p = 1.0 / p
-    chunk = _chunk(T, L)
-    for s in range(0, K, chunk):
-        block = cands[s : s + chunk]
-        for j, tau in enumerate(T.sequences):
-            pow_acc = dtw_pow_block(tau.vertices, block, p)
-            out[s : s + chunk, j] = [(a**inv_p) ** q for a in pow_acc.tolist()]
+    for j, end in enumerate(_listed_ends(T, cands, p).tolist()):
+        out[:, j] = [(a**inv_p) ** q for a in end]
     return out
 
 
 def _extend(prev: np.ndarray, D: np.ndarray, full: bool) -> np.ndarray:
-    """(m, P*u) DP rows of the u one-vertex extensions of each of P prefixes,
-    prefix-major, from their (m, P) rows and the (m, u) table of |v - tau[k]|^p;
-    unless `full`, only the (1, P*u) end cells, kept in one rolling column."""
+    """(m, P*w) DP rows of one-vertex extensions of P prefixes, prefix-major,
+    from their (m, P) rows and the next vertices' |v - tau[k]|^p table D:
+    (m, 1, u) extends every prefix by all u points (w = u), (m, P, 1) each
+    prefix by its own vertex (w = 1).  Unless `full`, only the (1, P*w) end
+    cells, kept in one rolling column."""
     m, P = prev.shape
-    new = np.empty((m if full else 1, P, D.shape[1]))
+    new = np.empty((m if full else 1, P, D.shape[2]))
     cur = new[0]
     np.add(prev[0][:, None], D[0], out=cur)
     for k in range(1, m):
@@ -139,10 +115,8 @@ def score_tuples(
     lead = max(1, u if ell > 1 else _BLOCK_ELEMENTS // (T.m * points.shape[1]))
     for lo in range(0, u, lead):
         for tau in T.sequences:
-            # (m, u) table of |point - tau[k]|^p, computed as in `dtw_pow_block`
-            diff = points[None, lo : lo + lead, :] - tau.vertices[:, None, :]
-            D = np.sqrt((diff * diff).sum(axis=-1)) ** p
-            walk(np.cumsum(D, axis=0), D, 1, lo)
+            D = pow_dist_matrix(tau.vertices, points[lo : lo + lead], p)
+            walk(np.cumsum(D, axis=0), D[:, None, :], 1, lo)
     return totals
 
 

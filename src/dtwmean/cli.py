@@ -2,8 +2,9 @@
 
     dtwmean <dtw|simplify|mean|cluster|oracle|bench|gen> [options]
 
-Every command reads a dataset (``--input``), writes a JSON report
-(``--output`` or stdout) and is fully determined by its flags and ``--seed``.
+Every command reads a dataset (``--input``), writes a strict JSON report
+(``--output`` or stdout; a non-finite number in it is a validation error)
+and is fully determined by its flags and ``--seed``.
 Exit codes: 0 success, 2 validation error, 3 capacity guard, 4 I/O error.
 """
 
@@ -100,7 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report_out(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"the report holds a non-finite number: {exc}") from None
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -224,18 +228,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _run_command(args)
+        # gen's --output names the dataset file, so its report goes to stdout
+        _report_out(report, None if args.command == "gen" else args.output)
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except DomainError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        # gen's --output names the dataset file, so its report goes to stdout
-        _report_out(report, None if args.command == "gen" else args.output)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._batch import argmin_first, cost_rows
 from .core import Dataset, PointSequence, dtw_distances
-from .errors import CapacityError, require
+from .errors import CapacityError, DomainError, require
 from .meanapprox import CANDIDATE_GUARD, CandidateSet, guard_draws, tuple_count
 from .simplify import simplify
 
@@ -86,7 +86,10 @@ def clustering_cost(T: Dataset, centers, p: float, q: float) -> float:
 def cand1_sample_size(
     beta: float, delta: float, eps: float, p: float, m: int, ell: int
 ) -> int:
-    return math.ceil((2.0**p / eps + 1.0) * beta * m * math.log(ell / delta))
+    try:
+        return math.ceil((2.0**p / eps + 1.0) * beta * m * math.log(ell / delta))
+    except OverflowError:
+        raise DomainError(f"the cand1 sample size overflows a float at p = {p}") from None
 
 
 def cand2_sample_size(beta: float, delta: float) -> int:

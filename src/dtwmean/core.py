@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -203,7 +204,8 @@ def pow_dist_matrix(
     """Matrix of pairwise ground distances raised to the p-th power.
 
     Raises CapacityError, before allocating anything, when
-    len(a) * len(b) * d exceeds DISTANCE_GUARD.
+    len(a) * len(b) * d exceeds DISTANCE_GUARD, and DomainError when an
+    entry overflows float64 to inf.
     """
     m1, m2, d = len(a), len(b), a.shape[1]
     if m1 * m2 * d > DISTANCE_GUARD:
@@ -211,15 +213,21 @@ def pow_dist_matrix(
             f"a {m1} x {m2} x {d} distance matrix exceeds the guard of "
             f"{DISTANCE_GUARD} elements"
         )
-    if metric is EUCLIDEAN:
-        diff = a[:, None, :] - b[None, :, :]
-        dists = np.sqrt((diff * diff).sum(axis=-1))
-    else:
-        dists = np.empty((m1, m2))
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                dists[i, j] = metric.distance(x, y)
-    return dists**p
+    with np.errstate(over="ignore"):
+        if metric is EUCLIDEAN:
+            diff = a[:, None, :] - b[None, :, :]
+            dists = np.sqrt((diff * diff).sum(axis=-1))
+        else:
+            dists = np.empty((m1, m2))
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    dists[i, j] = metric.distance(x, y)
+        powd = dists**p
+    if math.isinf(powd.max()):
+        raise DomainError(
+            f"a distance raised to p = {p} overflows float64; rescale the coordinates"
+        )
+    return powd
 
 
 def _sweep(c: PointSequence, taus: Sequence[PointSequence], p: float, metric: MetricSpace):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._batch import argmin_fold, tuple_groups
 from .core import Dataset, PointSequence
-from .errors import CapacityError, require
+from .errors import CapacityError, DomainError, require
 from .ranges import epsilon_net
 
 #: Cap on the number of enumerated candidate sequences.
@@ -66,12 +66,18 @@ class MeanResult:
 
 
 def eps_prime(eps: float, p: float) -> float:
-    return eps / (2.0 ** (p - 1.0) + eps)
+    try:
+        return eps / (2.0 ** (p - 1.0) + eps)
+    except OverflowError:
+        raise DomainError(f"2^(p - 1) overflows a float at p = {p}") from None
 
 
 def mean_c_sample_size(m: int, ell: int, delta: float, eps: float, p: float) -> int:
     """Number of pool vertices the randomized mean algorithm draws."""
-    return math.ceil(m * (math.log(ell) + math.log(1.0 / delta)) / eps_prime(eps, p))
+    try:
+        return math.ceil(m * (math.log(ell) + math.log(1.0 / delta)) / eps_prime(eps, p))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"the sample size overflows a float at p = {p}, eps = {eps}") from None
 
 
 def guard_draws(size: int) -> int:

@@ -13,6 +13,10 @@ coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infin
 powers = st.sampled_from((1.0, 2.0, 1.5))
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
 @st.composite
 def instances(draw):
     """A dataset of 1-4 sequences, a (K, L, d) candidate block with L in 1..4,
@@ -25,6 +29,49 @@ def instances(draw):
     K, L = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     cands = draw(arrays(float, (K, L, d), elements=coords))
     return Dataset(seqs), cands, draw(powers), draw(powers)
+
+
+def reference_dtw_pow_block(tau: np.ndarray, cands: np.ndarray, p: float) -> np.ndarray:
+    """The former kernel's own recurrence, row by row over (K, L, m) grids:
+    min over warpings of the summed p-th-power distances, per candidate."""
+    diff = cands[:, :, None, :] - tau[None, None, :, :]
+    powd = np.sqrt((diff * diff).sum(axis=-1)) ** p  # (K, L, m)
+    K, L, m = powd.shape
+    acc = np.empty_like(powd)
+    acc[:, 0, 0] = powd[:, 0, 0]
+    for k in range(1, m):
+        acc[:, 0, k] = acc[:, 0, k - 1] + powd[:, 0, k]
+    for j in range(1, L):
+        acc[:, j, 0] = acc[:, j - 1, 0] + powd[:, j, 0]
+        for k in range(1, m):
+            best = np.minimum(acc[:, j - 1, k - 1], acc[:, j - 1, k])
+            np.minimum(best, acc[:, j, k - 1], out=best)
+            acc[:, j, k] = powd[:, j, k] + best
+    return acc[:, -1, -1]
+
+
+def reference_score_block(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
+    total = np.zeros(cands.shape[0])
+    for tau in T.sequences:
+        pow_acc = reference_dtw_pow_block(tau.vertices, cands, p)
+        total += (pow_acc ** (1.0 / p)) ** q
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_listed_scores_equal_reference_recurrence_bit_for_bit(inst):
+    T, cands, p, q = inst
+    assert np.array_equal(
+        _bits(score_candidates(T, cands, p, q)), _bits(reference_score_block(T, cands, p, q))
+    )
+    want = np.array(
+        [
+            [(a ** (1.0 / p)) ** q for a in reference_dtw_pow_block(tau.vertices, cands, p).tolist()]
+            for tau in T.sequences
+        ]
+    ).T
+    assert np.array_equal(_bits(cost_rows(T, cands, p, q)), _bits(want))
 
 
 @settings(max_examples=150, deadline=None)
@@ -59,8 +106,30 @@ def test_cost_rows_chunks_like_one_block(monkeypatch):
     assert np.array_equal(cost_rows(T, cands, 1.5, 3.0), whole)
 
 
-def _bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+def test_score_candidates_chunks_like_one_block(monkeypatch):
+    import dtwmean._batch as batch
+
+    rng = np.random.default_rng(3)
+    T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 2))) for m in (2, 4, 3)])
+    cands = rng.uniform(0, 5, size=(7, 2, 2))
+    whole = score_candidates(T, cands, 1.5, 3.0)
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 8)  # one candidate per chunk
+    assert np.array_equal(_bits(score_candidates(T, cands, 1.5, 3.0)), _bits(whole))
+
+
+def test_listed_chunks_count_the_dimension(monkeypatch):
+    import dtwmean._batch as batch
+    import dtwmean.core as core
+
+    rng = np.random.default_rng(4)
+    T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 3))) for m in (2, 4)])
+    cands = rng.uniform(0, 5, size=(5, 2, 3))
+    whole = cost_rows(T, cands, 2.0, 1.0)
+    # two candidates' L * m * d = 24 table entries fit per chunk, and the
+    # distance guard admits exactly those
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 48)
+    monkeypatch.setattr(core, "DISTANCE_GUARD", 48)
+    assert np.array_equal(cost_rows(T, cands, 2.0, 1.0), whole)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+import dtwmean.cli as cli
 import dtwmean.core as core
 import dtwmean.meanapprox as meanapprox
 import dtwmean.oracle as oracle
@@ -219,6 +221,76 @@ class TestExitCodes:
 
     def test_io_error(self, capsys, tmp_path):
         assert main(["mean", "--input", str(tmp_path / "missing.json")]) == 4
+
+
+@pytest.fixture
+def huge_path(tmp_path):
+    # every pair of distinct coordinates differs by more than sqrt(float max)
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"sequences": [[[1e200], [-1e200]], [[3e200]], [[-1e200], [1e200], [3e200]]]})
+    )
+    return str(path)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dtw"],
+            ["simplify"],
+            ["mean", "--algo", "sample"],
+            ["mean", "--algo", "net"],
+            ["mean", "--algo", "refine"],
+            ["mean", "--algo", "dba"],
+            ["cluster", "--algo", "cand1", "--k", "1", "--beta", "3"],
+            ["cluster", "--algo", "cand2", "--k", "1", "--beta", "3"],
+            ["oracle", "--algo", "discrete"],
+            ["oracle", "--k", "1"],
+        ],
+    )
+    def test_overflowing_distances_exit_2(self, capsys, huge_path, argv):
+        assert main([*argv, "--input", huge_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("validation error") and "overflows float64" in err
+
+    def test_bench_flags_overflowing_runs_invalid(self, capsys, huge_path):
+        code, rep = run_cli(capsys, "bench", "--input", huge_path)
+        assert code == 0
+        rows = {row["algo"]: row for row in rep["runs"]}
+        for algo in ("sample", "net", "refine", "dba"):
+            assert rows[algo]["flags"] == ["invalid"]
+            assert "overflows float64" in rows[algo]["error"]
+        # the d = 1, p = q = 1 oracle takes medians and computes no distance table
+        assert rows["oracle"]["result"]["cost"] == 8e200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mean", "--algo", "sample"],
+            ["mean", "--algo", "net"],
+            ["cluster", "--algo", "cand1", "--k", "2", "--beta", "5"],
+            ["dtw"],
+        ],
+    )
+    def test_huge_p_exits_2(self, capsys, dataset_path, argv):
+        assert main([*argv, "--input", dataset_path, "--p", "1025"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows" in err
+
+    def test_huge_p_bench_records_every_run(self, capsys, dataset_path):
+        code, rep = run_cli(capsys, "bench", "--input", dataset_path, "--p", "1025")
+        assert code == 0
+        for row in rep["runs"]:
+            assert "result" in row or row["flags"] == ["invalid"]
+        assert rep["runs"][0]["error"] == "2^(p - 1) overflows a float at p = 1025.0"
+
+    def test_non_finite_report_is_a_validation_error(self, capsys, monkeypatch, dataset_path):
+        monkeypatch.setattr(cli, "_run_command", lambda args: {"result": {"cost": math.nan}})
+        assert main(["mean", "--input", dataset_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite" in err
 
 
 class TestReproducibility:

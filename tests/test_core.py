@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,38 @@ class TestDistanceGuard:
             tracemalloc.stop()
         assert len(res.warping) == 20000
         assert peak < 64 * 2**20  # a 20000 x 20000 grid would be 3.2 GB
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "a, b, p",
+        [
+            ([[1e200]], [[-1e200]], 1.0),  # the square of the difference
+            ([[0.0, 0.0]], [[1.3e154, 1.3e154]], 1.0),  # the sum of squares
+            ([[0.0]], [[1e-200], [2.0]], 1025.0),  # the p-th power
+        ],
+    )
+    def test_overflow_is_a_domain_error_without_warnings(self, a, b, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows float64"):
+                pow_dist_matrix(np.array(a), np.array(b), p)
+
+    def test_largest_finite_entries_pass(self):
+        got = pow_dist_matrix(np.array([[0.0, 0.0]]), np.array([[1.3e154, 0.0]]), 2.0)
+        assert got[0, 0] == np.sqrt(1.3e154 * 1.3e154) ** 2.0
+
+    def test_every_distance_caller_raises(self):
+        a, b = seq(1e200, -1e200), seq(3e200)
+        T = Dataset([a, b])
+        for call in (
+            lambda: dtw(a, b, 1.0),
+            lambda: cost(T, a, 1.0, 1.0),
+            lambda: simplify(a, 1, 1.0),
+            lambda: best_anchor(a.vertices, b.vertices, 1.0),
+        ):
+            with pytest.raises(DomainError, match="overflows float64"):
+                call()
 
 
 class TestWeakTriangle:

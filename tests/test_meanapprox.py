@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import dtwmean.meanapprox as meanapprox
 from dtwmean import (
     CapacityError,
     Dataset,
+    DomainError,
     cand1,
     cand2,
     cost,
@@ -30,6 +33,30 @@ class TestSampleSize:
         assert mean_c_sample_size(4, 2, 0.01, 1.0, 1.0) >= mean_c_sample_size(
             4, 2, 0.5, 1.0, 1.0
         )
+
+    def test_large_p_keeps_the_formulas(self):
+        # 2^(p - 1) is the largest finite power of two at p = 1024
+        assert eps_prime(1.0, 1024.0) == 1.0 / (2.0**1023.0 + 1.0)
+        assert mean_c_sample_size(3, 2, 0.5, 1.0, 1000.0) == math.ceil(
+            3 * (math.log(2) + math.log(2.0)) / (1.0 / (2.0**999.0 + 1.0))
+        )
+        assert cand1_sample_size(5.0, 0.3, 1.0, 1000.0, 3, 2) == math.ceil(
+            (2.0**1000.0 + 1.0) * 5.0 * 3 * math.log(2 / 0.3)
+        )
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            lambda: eps_prime(1.0, 1025.0),
+            lambda: mean_c_sample_size(3, 2, 0.5, 1.0, 1025.0),
+            lambda: mean_c_sample_size(3, 2, 0.5, 1e-300, 1000.0),
+            lambda: cand1_sample_size(5.0, 0.3, 1.0, 1024.0, 3, 2),
+            lambda: cand1_sample_size(5.0, 0.3, 1e-300, 1000.0, 3, 2),
+        ],
+    )
+    def test_overflowing_size_is_a_domain_error(self, size):
+        with pytest.raises(DomainError, match="overflows a float"):
+            size()
 
 
 class TestSampleGuard:

@@ -1,0 +1,33 @@
+"""Every script in scripts/ runs to completion on tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+ARGS = {
+    "compare_algorithms.py": ["--n", "4"],
+    "planted_clustering.py": ["--trials", "2"],
+    "success_rates.py": ["--trials", "2"],
+}
+
+
+def test_every_script_is_covered():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(ARGS))
+def test_script_exits_0(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
