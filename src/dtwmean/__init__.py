@@ -1,6 +1,6 @@
 """Restricted-complexity means, medians and clusterings under the p-DTW distance.
 
-The package computes, for a set of point sequences over a metric space, short
+The package computes, for a set of point sequences in Euclidean space, short
 "mean" sequences minimizing summed powers of p-DTW distances:
 
 * :func:`dtw` / :func:`cost` / :func:`sections` -- the distance layer,
@@ -22,10 +22,8 @@ from .clustering import (
     k_clustering,
 )
 from .core import (
-    EUCLIDEAN,
     Dataset,
     DtwResult,
-    MetricSpace,
     PointSequence,
     Section,
     Warping,
@@ -43,8 +41,8 @@ from .errors import CapacityError, DomainError, DtwMeanError
 from .meanapprox import CandidateSet, MeanResult, mean_c, mean_c_d
 from .oracle import OracleResult, exact_clustering, exact_mean
 from .ranges import ball_ranges, epsilon_net
-from .refine import BallUnion, grid_cover, grid_point, med_appr
-from .simplify import SimplificationResult, best_anchor, simplify
+from .refine import BallUnion, grid_cover, med_appr
+from .simplify import SimplificationResult, simplify
 from .synth import generate_synthetic
 
 __version__ = "0.1.0"
@@ -60,16 +58,13 @@ __all__ = [
     "DomainError",
     "DtwMeanError",
     "DtwResult",
-    "EUCLIDEAN",
     "MeanResult",
-    "MetricSpace",
     "OracleResult",
     "PointSequence",
     "Section",
     "SimplificationResult",
     "Warping",
     "ball_ranges",
-    "best_anchor",
     "cand1",
     "cand2",
     "clustering_cost",
@@ -83,7 +78,6 @@ __all__ = [
     "exact_mean",
     "generate_synthetic",
     "grid_cover",
-    "grid_point",
     "k_clustering",
     "load_dataset",
     "mean_c",

@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
 
-* vertices are rows of ``(m, d)`` float64 arrays,
+* vertices are Euclidean points, rows of ``(m, d)`` float64 arrays,
 * warping index pairs are 1-based, matching the usual DTW grid picture,
 * every cost comparison is an exact float comparison (no tolerance), so
   argmins are deterministic and reproducible.
@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, require
-
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 
 #: Hard cap on exhaustive warping enumeration.
 WARPING_ENUMERATION_GUARD = 1_000_000
@@ -29,26 +27,6 @@ WARPING_ENUMERATION_GUARD = 1_000_000
 DISTANCE_GUARD = 16_000_000
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
-
-
-def euclidean_distance(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(x - y))
-
-
-@dataclass(frozen=True)
-class MetricSpace:
-    """A ground metric evaluated on vertex coordinate vectors.
-
-    ``distance`` must be a metric: symmetric, zero on the diagonal and
-    satisfying the triangle inequality.  Non-Euclidean spaces can be plugged
-    in by resolving opaque element identifiers inside ``distance``.
-    """
-
-    name: str
-    distance: DistanceFn
-
-
-EUCLIDEAN = MetricSpace("euclidean", euclidean_distance)
 
 
 class PointSequence:
@@ -198,10 +176,8 @@ class DtwResult:
     warping: Warping
 
 
-def pow_dist_matrix(
-    a: np.ndarray, b: np.ndarray, p: float, metric: MetricSpace = EUCLIDEAN
-) -> np.ndarray:
-    """Matrix of pairwise ground distances raised to the p-th power.
+def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """Matrix of pairwise Euclidean distances raised to the p-th power.
 
     Raises CapacityError, before allocating anything, when
     len(a) * len(b) * d exceeds DISTANCE_GUARD, and DomainError when an
@@ -214,15 +190,8 @@ def pow_dist_matrix(
             f"{DISTANCE_GUARD} elements"
         )
     with np.errstate(over="ignore"):
-        if metric is EUCLIDEAN:
-            diff = a[:, None, :] - b[None, :, :]
-            dists = np.sqrt((diff * diff).sum(axis=-1))
-        else:
-            dists = np.empty((m1, m2))
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    dists[i, j] = metric.distance(x, y)
-        powd = dists**p
+        diff = a[:, None, :] - b[None, :, :]
+        powd = np.sqrt((diff * diff).sum(axis=-1)) ** p
     if math.isinf(powd.max()):
         raise DomainError(
             f"a distance raised to p = {p} overflows float64; rescale the coordinates"
@@ -230,7 +199,7 @@ def pow_dist_matrix(
     return powd
 
 
-def _sweep(c: PointSequence, taus: Sequence[PointSequence], p: float, metric: MetricSpace):
+def _sweep(c: PointSequence, taus: Sequence[PointSequence], p: float):
     """Accumulated p-th-power DTW grids of c against every tau, in chunks.
 
     Yields ``(S, transposed, lengths)`` per chunk of consecutive taus, with
@@ -261,7 +230,7 @@ def _sweep(c: PointSequence, taus: Sequence[PointSequence], p: float, metric: Me
         starts = np.cumsum([0] + lengths[:-1])[:, None]
         rows = starts + np.minimum(np.arange(M), np.array(lengths)[:, None] - 1)
         padded = np.concatenate([t.vertices for t in chunk])[rows.reshape(-1)]
-        powd = pow_dist_matrix(c.vertices, padded, p, metric).reshape(m1, B, M)
+        powd = pow_dist_matrix(c.vertices, padded, p).reshape(m1, B, M)
         transposed = M < m1
         grids = powd.transpose((2, 0, 1) if transposed else (0, 2, 1))
         n, width, _ = grids.shape
@@ -311,7 +280,7 @@ def _backtrack(G: np.ndarray, m1: int, m2: int, transposed: bool) -> Warping:
     return Warping(tuple(rev))
 
 
-def dtw(sigma, tau, p: float, metric: MetricSpace = EUCLIDEAN) -> DtwResult:
+def dtw(sigma, tau, p: float) -> DtwResult:
     """p-DTW distance between two sequences, with one optimal warping.
 
     O(m1*m2) dynamic program over the matrix of p-th-power ground
@@ -324,19 +293,19 @@ def dtw(sigma, tau, p: float, metric: MetricSpace = EUCLIDEAN) -> DtwResult:
     """
     a = as_sequence(sigma)
     b = as_sequence(tau)
-    S, transposed, _ = next(_sweep(a, [b], p, metric))
+    S, transposed, _ = next(_sweep(a, [b], p))
     m1, m2 = a.complexity, b.complexity
     G = S[:, :, 0]
     distance = float(G[m1 + m2 - 1, m2 if transposed else m1]) ** (1.0 / p)
     return DtwResult(distance=distance, warping=_backtrack(G, m1, m2, transposed))
 
 
-def dtw_distances(c, T: Dataset, p: float, metric: MetricSpace = EUCLIDEAN) -> list[float]:
+def dtw_distances(c, T: Dataset, p: float) -> list[float]:
     """dtw_p(c, tau) for every tau of T, in order, from one sweep and no backtrack."""
     cseq = as_sequence(c)
     m1 = cseq.complexity
     out: list[float] = []
-    for S, transposed, lengths in _sweep(cseq, T.sequences, p, metric):
+    for S, transposed, lengths in _sweep(cseq, T.sequences, p):
         n = np.array(lengths)
         ends = S[m1 + n - 1, n if transposed else m1, np.arange(len(n))]
         out.extend(a ** (1.0 / p) for a in ends.tolist())
@@ -390,12 +359,12 @@ def warping_pow_cost(
     return total
 
 
-def cost(T: Dataset, c, p: float, q: float, metric: MetricSpace = EUCLIDEAN) -> float:
+def cost(T: Dataset, c, p: float, q: float) -> float:
     """Sum over the dataset of dtw_p(c, tau)^q, folded in sequence order."""
     cseq = as_sequence(c)
     require(q >= 1, "q must be >= 1")
     total = 0.0
-    for distance in dtw_distances(cseq, T, p, metric):
+    for distance in dtw_distances(cseq, T, p):
         total = total + distance**q
     return total
 
@@ -436,13 +405,11 @@ def sections(c, T: Dataset, warpings: Sequence[Warping]) -> list[Section]:
     return out
 
 
-def optimal_sections(
-    c, T: Dataset, p: float, metric: MetricSpace = EUCLIDEAN
-) -> tuple[list[Section], list[Warping]]:
+def optimal_sections(c, T: Dataset, p: float) -> tuple[list[Section], list[Warping]]:
     """Sections of c under the optimal p-warpings :func:`dtw` returns, from one sweep."""
     cseq = as_sequence(c)
     warpings: list[Warping] = []
-    for S, transposed, lengths in _sweep(cseq, T.sequences, p, metric):
+    for S, transposed, lengths in _sweep(cseq, T.sequences, p):
         warpings.extend(
             _backtrack(S[:, :, b], cseq.complexity, m2, transposed)
             for b, m2 in enumerate(lengths)
@@ -450,9 +417,7 @@ def optimal_sections(
     return sections(cseq, T, warpings), warpings
 
 
-def weak_triangle_check(
-    x, y, z, p: float, metric: MetricSpace = EUCLIDEAN
-) -> bool:
+def weak_triangle_check(x, y, z, p: float) -> bool:
     """Check dtw_p(x,z) <= max(|x|,|z|)^(1/p) * (dtw_p(x,y) + dtw_p(y,z)).
 
     The relaxed triangle inequality guarantees this holds for every triple,
@@ -460,8 +425,6 @@ def weak_triangle_check(
     """
     xs, ys, zs = as_sequence(x), as_sequence(y), as_sequence(z)
     m1 = max(xs.complexity, zs.complexity)
-    lhs = dtw(xs, zs, p, metric).distance
-    rhs = m1 ** (1.0 / p) * (
-        dtw(xs, ys, p, metric).distance + dtw(ys, zs, p, metric).distance
-    )
+    lhs = dtw(xs, zs, p).distance
+    rhs = m1 ** (1.0 / p) * (dtw(xs, ys, p).distance + dtw(ys, zs, p).distance)
     return lhs <= rhs

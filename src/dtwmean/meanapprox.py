@@ -48,11 +48,6 @@ class CandidateSet:
             return self.listed
         return [PointSequence(c) for b in enumerate_tuples(self.points, self.ell) for c in b]
 
-    def __len__(self) -> int:
-        if self.listed is None:
-            return tuple_count(len(self.points), self.ell, math.inf)
-        return len(self.listed)
-
 
 @dataclass
 class MeanResult:

@@ -94,7 +94,8 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
     best_vertices: list | None = None
     best_tuple: list[Warping] | None = None
 
-    # every mean length is checked against the guard before any is searched
+    # every mean length is checked against the guards before any is searched;
+    # each length warps n * ellp pairs or more, even when every m is 1
     for ellp in range(1, ell + 1):
         tuples = 1
         for mi in lengths:
@@ -104,6 +105,8 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
                     f"{tuples}+ warping tuples at mean length {ellp} exceed "
                     f"the guard of {TUPLE_GUARD}"
                 )
+        if n * ellp * (ellp + 1) // 2 > TUPLE_GUARD:
+            raise CapacityError(f"mean lengths up to {ellp} warp over {TUPLE_GUARD} pairs")
 
     for ellp in range(1, ell + 1):
         per_seq = []

@@ -110,11 +110,15 @@ def _range_masks(points) -> tuple[np.ndarray, int]:
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
     found = [np.zeros(1, dtype=np.int64)]
     chunk = max(1, _CHUNK_ELEMENTS // (n * d))
-    for k in range(1, min(d + 1, n) + 1):
-        flat = chain.from_iterable(combinations(range(n), k))
-        combos = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
-        for s in range(0, len(combos), chunk):
-            found.append(_sphere_ranges(Y, combos[s : s + chunk], bit))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing far sphere drops out
+        # twice the squared bounding-box diagonal bounds every distance and sphere-system entry
+        if not np.isfinite(2.0 * np.square(np.ptp(Y, axis=0)).sum()):
+            raise DomainError("the ball range space overflows float64; rescale the coordinates")
+        for k in range(1, min(d + 1, n) + 1):
+            flat = chain.from_iterable(combinations(range(n), k))
+            combos = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+            for s in range(0, len(combos), chunk):
+                found.append(_sphere_ranges(Y, combos[s : s + chunk], bit))
     return np.unique(np.concatenate(found)), n
 
 

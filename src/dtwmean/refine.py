@@ -35,13 +35,6 @@ CANDIDATE_GUARD = 10_000_000
 CELL_GUARD = 10_000_000
 
 
-def grid_point(gamma: float, x) -> np.ndarray:
-    """Lower corner of the grid cell of width gamma containing x."""
-    require(gamma > 0, "grid cell width must be positive")
-    x = np.asarray(x, dtype=float)
-    return np.floor(x / gamma) * gamma
-
-
 @dataclass(frozen=True)
 class BallUnion:
     """Union of equal-radius balls centered at a sequence's vertices."""

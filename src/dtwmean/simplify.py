@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EUCLIDEAN, MetricSpace, PointSequence, as_sequence, pow_dist_matrix
+from .core import PointSequence, as_sequence, pow_dist_matrix
 from .errors import require
 
 
@@ -31,25 +31,7 @@ class SimplificationResult:
     alpha: float = 2.0
 
 
-def best_anchor(
-    segment, pool, p: float, metric: MetricSpace = EUCLIDEAN
-) -> tuple[np.ndarray, float]:
-    """Pool point minimizing the summed p-th-power distance to a segment.
-
-    Ties resolve to the smallest pool index.
-    """
-    seg = np.atleast_2d(np.asarray(segment, dtype=float))
-    pts = np.atleast_2d(np.asarray(pool, dtype=float))
-    require(seg.shape[0] >= 1, "segment must be nonempty")
-    require(pts.shape[0] >= 1, "pool must be nonempty")
-    costs = pow_dist_matrix(seg, pts, p, metric).sum(axis=0)
-    idx = int(np.argmin(costs))
-    return pts[idx].copy(), float(costs[idx])
-
-
-def simplify(
-    pi, ell: int, p: float, metric: MetricSpace = EUCLIDEAN
-) -> SimplificationResult:
+def simplify(pi, ell: int, p: float) -> SimplificationResult:
     """Best vertex-restricted simplification of pi with at most ell vertices.
 
     Returns the cheapest sequence over {pi_1, ..., pi_m}^{<= ell} under dtw_p,
@@ -63,7 +45,7 @@ def simplify(
     L = min(ell, m)
     pool = seq.vertices
 
-    powd = pow_dist_matrix(pool, pool, p, metric)  # (input position, pool point)
+    powd = pow_dist_matrix(pool, pool, p)  # (input position, pool point)
     prefix = np.vstack([np.zeros(m), np.cumsum(powd, axis=0)])  # (m+1, m)
 
     # seg_val[a, b] / seg_arg[a, b]: best anchor cost and pool index for the

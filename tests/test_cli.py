@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -212,6 +213,17 @@ class TestExitCodes:
             "the guard of 1000000\n"
         )
         assert searched == []
+
+    def test_oracle_caps_lengths_of_single_vertex_data(self, capsys, tmp_path):
+        # one warping tuple per mean length, so only the warped-pairs cap stops it
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"sequences": [[[0.0]], [[1.0]], [[5.0]]]}))
+        start = time.perf_counter()
+        assert main(["oracle", "--input", str(path), "--ell", "100000000000"]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err == (
+            "capacity guard: mean lengths up to 816 warp over 1000000 pairs\n"
+        )
 
     @pytest.mark.parametrize("command", ["dtw", "simplify"])
     def test_distance_guard(self, capsys, monkeypatch, dataset_path, command):

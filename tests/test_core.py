@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 import dtwmean.core as core
 from dtwmean import (
-    EUCLIDEAN,
     Dataset,
     DomainError,
-    MetricSpace,
     PointSequence,
     Warping,
-    best_anchor,
     cost,
     dtw,
     enumerate_warpings,
@@ -120,28 +117,6 @@ class TestDtw:
         assert dtw(a, b, p).distance == dtw(b, a, p).distance
         assert dtw(a, a, p).distance == 0.0
 
-    def test_custom_metric(self):
-        manhattan = MetricSpace(
-            "manhattan", lambda x, y: float(np.abs(x - y).sum())
-        )
-        a = PointSequence([[0.0, 0.0], [3.0, 4.0]])
-        b = PointSequence([[0.0, 0.0], [3.0, 4.0]])
-        assert dtw(a, b, 1, metric=manhattan).distance == 0.0
-        c = PointSequence([[1.0, 1.0], [3.0, 4.0]])
-        assert dtw(a, c, 1, metric=manhattan).distance == 2.0
-
-
-class TestMetricAxioms:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_euclidean_ground_metric(self, s):
-        rng = np.random.default_rng(s)
-        x, y, z = rng.uniform(-20, 20, size=(3, 3))
-        rho = EUCLIDEAN.distance
-        assert rho(x, x) == 0.0
-        assert rho(x, y) == rho(y, x) >= 0.0
-        assert rho(x, z) <= rho(x, y) + rho(y, z) + 1e-12
-
 
 class TestEnumerateWarpings:
     def test_single_cell(self):
@@ -236,7 +211,6 @@ class TestDistanceGuard:
         calls = [
             (4 * 7 * 2, lambda: dtw(a, b, 2.0)),
             (7 * 7 * 2, lambda: simplify(b, 3, 2.0)),
-            (4 * 7 * 2, lambda: best_anchor(a, b, 1.5)),
         ]
         for cap, call in calls:
             monkeypatch.setattr(core, "DISTANCE_GUARD", cap)
@@ -296,7 +270,6 @@ class TestOverflow:
             lambda: dtw(a, b, 1.0),
             lambda: cost(T, a, 1.0, 1.0),
             lambda: simplify(a, 1, 1.0),
-            lambda: best_anchor(a.vertices, b.vertices, 1.0),
         ):
             with pytest.raises(DomainError, match="overflows float64"):
                 call()

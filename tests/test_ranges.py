@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,16 @@ class TestEpsilonNet:
     def test_eps_out_of_range(self):
         with pytest.raises(DomainError):
             epsilon_net(np.zeros((2, 1)), 0.0)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            [[1e200], [-1e200], [3e200]],  # a distance between two points
+            [[0.0], [1e154]],  # finite distances, but 2 |v|^2 in the sphere system
+        ],
+    )
+    def test_overflow_is_a_domain_error_without_warnings(self, P):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows float64"):
+                epsilon_net(np.array(P), 0.5)

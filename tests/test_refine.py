@@ -12,7 +12,6 @@ from dtwmean import (
     cost,
     exact_mean,
     grid_cover,
-    grid_point,
     med_appr,
 )
 import dtwmean.refine as refine
@@ -20,28 +19,6 @@ from dtwmean import CapacityError
 from dtwmean.refine import rung_cell_width, scale_ladder
 
 from conftest import random_dataset, seq
-
-
-class TestGridPoint:
-    def test_example(self):
-        assert grid_point(2.0, [3.5, -1.2]).tolist() == [2.0, -2.0]
-
-    def test_origin(self):
-        assert grid_point(1.0, [0.0, 0.0]).tolist() == [0.0, 0.0]
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(DomainError):
-            grid_point(0.0, [1.0])
-
-    @given(
-        st.lists(st.floats(-50, 50), min_size=1, max_size=3),
-        st.floats(0.01, 5.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_snap_distance_bound(self, coords, gamma):
-        x = np.array(coords)
-        g = grid_point(gamma, x)
-        assert np.linalg.norm(x - g) <= gamma * math.sqrt(len(coords)) + 1e-12
 
 
 class TestGridCover:
@@ -82,6 +59,27 @@ class TestGridCover:
             assert min(min(cell) for cell in kept) < 0
             cover = grid_cover(BallUnion(centers=centers, radius=r), gamma)
             assert cover.tobytes() == want.tobytes()
+
+    def test_rejects_nonpositive_width(self):
+        with pytest.raises(DomainError):
+            grid_cover(BallUnion(centers=np.array([[1.0]]), radius=1.0), 0.0)
+
+    @given(
+        st.lists(st.floats(-50, 50), min_size=1, max_size=3),
+        st.floats(0.1, 3.0),
+        st.floats(0.2, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_snap_distance_bound(self, coords, r, width, s):
+        # every point of the ball lies within gamma * sqrt(d) of a cover point
+        center = np.array(coords)
+        gamma = width * r
+        u = np.random.default_rng(s).uniform(-1, 1, size=len(coords))
+        x = center + r * u / max(1.0, float(np.linalg.norm(u)))
+        cover = grid_cover(BallUnion(centers=center[None], radius=r), gamma)
+        nearest = np.linalg.norm(cover - x, axis=1).min()
+        assert nearest <= gamma * math.sqrt(len(coords)) + 1e-12
 
     def test_volumetric_bound(self, rng):
         # cover of B(x, 8r) stays within the closed-form cell bound

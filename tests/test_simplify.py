@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtwmean import DomainError, PointSequence, best_anchor, dtw, simplify
+from dtwmean import PointSequence, dtw, simplify
 
 from conftest import random_sequence, seq
 
@@ -22,24 +22,6 @@ def brute_force_best(pi: PointSequence, ell: int, p: float) -> float:
             if d < best:
                 best = d
     return best
-
-
-class TestBestAnchor:
-    def test_singleton(self):
-        pt, val = best_anchor([[7.0]], [[7.0]], 1)
-        assert pt.tolist() == [7.0] and val == 0.0
-
-    def test_tie_breaks_to_smallest_index(self):
-        pt, val = best_anchor([[0.0], [2.0]], [[0.0], [1.0], [2.0]], 1)
-        assert pt.tolist() == [0.0] and val == 2.0
-
-    def test_squared_cost_prefers_middle(self):
-        pt, val = best_anchor([[0.0], [2.0]], [[0.0], [1.0], [2.0]], 2)
-        assert pt.tolist() == [1.0] and val == 2.0
-
-    def test_empty_inputs(self):
-        with pytest.raises(DomainError):
-            best_anchor(np.empty((0, 1)), [[0.0]], 1)
 
 
 class TestSimplify:
@@ -59,6 +41,21 @@ class TestSimplify:
         r = simplify(seq(0, 4, 8), 1, 1)
         assert r.sequence.as_list() == [[4.0]]
         assert r.discrete_cost == 8.0
+
+    def test_anchor_ties_go_to_smallest_index(self):
+        # anchors 0 and 2 both cost 2^p to the block [0, 2]
+        for p in (1, 2):
+            r = simplify(seq(0, 2), 1, p)
+            assert r.sequence.as_list() == [[0.0]]
+            assert r.discrete_cost == 2.0
+
+    def test_squared_cost_prefers_middle(self):
+        # one anchor for 0, 0, 1, 3: anchors 0 and 1 both cost 4 at p = 1,
+        # while at p = 2 anchor 1 costs 6 against anchor 0's 10
+        assert simplify(seq(0, 0, 1, 3), 1, 1).sequence.as_list() == [[0.0]]
+        r = simplify(seq(0, 0, 1, 3), 1, 2)
+        assert r.sequence.as_list() == [[1.0]]
+        assert r.discrete_cost == 6.0**0.5
 
     def test_ell_larger_than_input(self):
         r = simplify(seq(3), 4, 2)
