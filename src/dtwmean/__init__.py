@@ -8,7 +8,8 @@ The package computes, for a set of point sequences in Euclidean space, short
 * :func:`mean_c` / :func:`mean_c_d` -- randomized and deterministic
   constant-factor mean approximation,
 * :func:`med_appr` -- the (1 + eps) median scheme for Euclidean data,
-* :func:`cand1` / :func:`cand2` / :func:`k_clustering` -- clustering,
+* :func:`k_clustering` -- clustering, with ``generator="cand1"`` (vertex
+  sampling) or ``generator="cand2"`` (simplified sampled sequences),
 * :func:`exact_mean` / :func:`exact_clustering` -- desk-scale exact oracles,
 * :func:`dba` -- the classical averaging baseline (no guarantee).
 """
@@ -16,8 +17,6 @@ The package computes, for a set of point sequences in Euclidean space, short
 from .clustering import (
     CenterSet,
     ClusteringParams,
-    cand1,
-    cand2,
     clustering_cost,
     k_clustering,
 )
@@ -38,7 +37,7 @@ from .core import (
 from .dataio import load_dataset, save_dataset
 from .dba import DbaResult, dba, default_dba_init
 from .errors import CapacityError, DomainError, DtwMeanError
-from .meanapprox import CandidateSet, MeanResult, mean_c, mean_c_d
+from .meanapprox import MeanResult, mean_c, mean_c_d
 from .oracle import OracleResult, exact_clustering, exact_mean
 from .ranges import ball_ranges, epsilon_net
 from .refine import BallUnion, grid_cover, med_appr
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallUnion",
-    "CandidateSet",
     "CapacityError",
     "CenterSet",
     "ClusteringParams",
@@ -65,8 +63,6 @@ __all__ = [
     "SimplificationResult",
     "Warping",
     "ball_ranges",
-    "cand1",
-    "cand2",
     "clustering_cost",
     "cost",
     "dba",

@@ -35,8 +35,6 @@ class RunConfig:
     delta: float = 0.1
     seed: int = 0
     input: str | None = None
-    k: int | None = None
-    beta: float | None = None
     mode: str | None = None
     max_iters: int = 50
 

@@ -1,11 +1,12 @@
 """(k, ell, p, q)-clustering via candidate generation plus recursive search.
 
-Two candidate generators are available.  `cand1` samples pool vertices and
-enumerates all short sequences over the sample; with the stated probability
-it contains a (2^p + eps)-approximate restricted p-mean of every sufficiently
-large subset of the input.  `cand2` samples whole input sequences and
-simplifies them, giving an O((m * ell)^(1/p))-approximate median candidate
-for every such subset.
+Two candidate generators are available, chosen by `k_clustering`'s
+`generator` argument.  `cand1` samples pool vertices and enumerates all
+short sequences over the sample; with the stated probability it contains
+a (2^p + eps)-approximate restricted p-mean of every sufficiently large
+subset of the input.  `cand2` samples whole input sequences and simplifies
+them, giving an O((m * ell)^(1/p))-approximate median candidate for every
+such subset.
 
 `k_clustering` plugs a generator into a branch-and-prune driver: at each node
 it either commits one generated candidate as the next center, or discards the
@@ -34,7 +35,7 @@ import numpy as np
 from ._batch import argmin_first, cost_rows
 from .core import Dataset, PointSequence, dtw_distances
 from .errors import CapacityError, DomainError, require
-from .meanapprox import CANDIDATE_GUARD, CandidateSet, guard_draws, tuple_count
+from .meanapprox import CANDIDATE_GUARD, guard_draws, tuple_count
 from .simplify import simplify
 
 NODE_GUARD = 1_000_000
@@ -158,36 +159,6 @@ class _PointTable:
             i = next(i for i in src if v in self.seq_ids[i])
             rows.append(self.T.sequences[i].vertices[int(np.argmax(self.seq_ids[i] == v))])
         return PointSequence(rows)
-
-
-def cand1(
-    T: Dataset, beta: float, delta: float, eps: float, p: float, ell: int, seed: int
-) -> CandidateSet:
-    """Vertex-sampling candidate set for (1, ell, p, p)-clustering subsets."""
-    require(beta > 1, "beta must exceed 1")
-    require(0 < delta < 1, "delta must lie in (0, 1)")
-    require(eps > 0, "eps must be positive")
-    points = T.vertex_pool()
-    ids = _cand1(
-        np.arange(len(points)), T.m, beta, delta, eps, p, ell, np.random.default_rng(seed)
-    )
-    # the length-1 tuples come first, one per sampled vertex
-    return CandidateSet("sampled", points[[c[0] for c in ids if len(c) == 1]], ell)
-
-
-def cand2(
-    T: Dataset, beta: float, p: float, delta: float, ell: int, seed: int
-) -> CandidateSet:
-    """Simplified-sample candidate set for (1, ell, p, 1)-clustering subsets."""
-    require(beta > 1, "beta must exceed 1")
-    require(0 < delta < 1, "delta must lie in (0, 1)")
-    table = _PointTable(T, p, ell)
-    found = _cand2(
-        tuple(range(T.n)), table.simplified, beta, delta, np.random.default_rng(seed)
-    )
-    return CandidateSet(
-        "simplified", listed=[table.sequence(c, (i,)) for c, i in found.items()]
-    )
 
 
 def k_clustering(

@@ -315,6 +315,8 @@ def dtw_distances(c, T: Dataset, p: float) -> list[float]:
 def warping_count(m1: int, m2: int) -> int:
     """Number of (m1, m2)-warpings (a Delannoy number)."""
     require(m1 >= 1 and m2 >= 1, "sequence lengths must be >= 1")
+    if min(m1, m2) == 1:
+        return 1
     row = [1] * m2
     for _ in range(1, m1):
         new = [1] * m2

@@ -29,33 +29,11 @@ SAMPLE_GUARD = 10_000_000
 
 
 @dataclass
-class CandidateSet:
-    """Finite set of candidate mean sequences with how they were produced.
-
-    A set of tuples keeps only its point table and `ell`; `candidates`, every
-    sequence of length 1..ell over `points` in `enumerate_tuples` order, is
-    built when read.  Any other set lists its candidates in `listed`.
-    """
-
-    provenance: str  # sampled | net | grid | simplified
-    points: np.ndarray | None = None
-    ell: int = 0
-    listed: list[PointSequence] | None = None
-
-    @property
-    def candidates(self) -> list[PointSequence]:
-        if self.listed is not None:
-            return self.listed
-        return [PointSequence(c) for b in enumerate_tuples(self.points, self.ell) for c in b]
-
-
-@dataclass
 class MeanResult:
     """Outcome of a mean search: the winner, its cost and bookkeeping."""
 
     sequence: PointSequence
     cost: float
-    candidate_set: CandidateSet | None = None
     candidates_scored: int = 0
     flags: list[str] = field(default_factory=list)
 
@@ -120,7 +98,7 @@ def tuple_count(u: int, ell: int, guard: float) -> int:
 
 
 def _cheapest_tuple(
-    T: Dataset, points: np.ndarray, ell: int, p: float, provenance: str, hint: str = ""
+    T: Dataset, points: np.ndarray, ell: int, p: float, hint: str = ""
 ) -> MeanResult:
     """Cheapest sequence of length <= ell over `points` under cost_p^p."""
     total = tuple_count(len(points), ell, CANDIDATE_GUARD)
@@ -129,12 +107,7 @@ def _cheapest_tuple(
             f"at least {total} candidates exceed the guard of {CANDIDATE_GUARD}{hint}"
         )
     best, rows = argmin_fold(tuple_groups(T, points, ell, p, p))
-    return MeanResult(
-        sequence=PointSequence(rows),
-        cost=best,
-        candidate_set=CandidateSet(provenance, points, ell),
-        candidates_scored=total,
-    )
+    return MeanResult(sequence=PointSequence(rows), cost=best, candidates_scored=total)
 
 
 def mean_c(
@@ -155,9 +128,7 @@ def mean_c(
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, len(pool), size=size)
     sample = dedup_rows(pool[draws])
-    return _cheapest_tuple(
-        T, sample, ell, p, "sampled", "; increase eps or delta, or lower ell"
-    )
+    return _cheapest_tuple(T, sample, ell, p, "; increase eps or delta, or lower ell")
 
 
 def mean_c_d(T: Dataset, eps: float, p: float, ell: int) -> MeanResult:
@@ -172,4 +143,4 @@ def mean_c_d(T: Dataset, eps: float, p: float, ell: int) -> MeanResult:
     require(ell >= 1, "ell must be >= 1")
     pool = T.vertex_pool()
     net = epsilon_net(pool, eps_prime(eps, p) / T.m)
-    return _cheapest_tuple(T, net, ell, p, "net")
+    return _cheapest_tuple(T, net, ell, p)

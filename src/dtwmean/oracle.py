@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import argmin_fold, cost_rows, tuple_groups
+from ._batch import argmin_fold, tuple_groups
 from .core import (
     Dataset,
     PointSequence,
     Warping,
+    dtw_distances,
     enumerate_warpings,
     optimal_sections,
     warping_count,
@@ -235,7 +236,7 @@ def exact_clustering(
         if key not in center_cache:
             sub = Dataset([T.sequences[i] for i in block])
             c = exact_mean(sub, ell, mode, p, q).mean
-            center_cache[key] = (c, cost_rows(T, c.vertices[None], p_eff, q_eff)[0])
+            center_cache[key] = (c, np.array([x**q_eff for x in dtw_distances(c, T, p_eff)]))
         return center_cache[key]
 
     best_cost = math.inf

@@ -1,10 +1,12 @@
+import dataclasses
+
 import dtwmean
+from dtwmean.bench import RunConfig
 
 # The public API.  A name added to or dropped from `dtwmean.__all__` must be
 # added to or dropped from this list too, so API growth shows up in review.
 PUBLIC_NAMES = [
     "BallUnion",
-    "CandidateSet",
     "CapacityError",
     "CenterSet",
     "ClusteringParams",
@@ -20,8 +22,6 @@ PUBLIC_NAMES = [
     "SimplificationResult",
     "Warping",
     "ball_ranges",
-    "cand1",
-    "cand2",
     "clustering_cost",
     "cost",
     "dba",
@@ -45,6 +45,19 @@ PUBLIC_NAMES = [
     "warping_count",
 ]
 
+# The fields of the public result and config types, pinned the same way.
+PUBLIC_FIELDS = {
+    dtwmean.MeanResult: ["sequence", "cost", "candidates_scored", "flags"],
+    dtwmean.CenterSet: ["centers", "cost", "nodes", "rows_scored"],
+    dtwmean.OracleResult: ["mean", "cost", "warping_tuple", "mode"],
+    dtwmean.DbaResult: ["sequence", "cost", "trace"],
+    dtwmean.SimplificationResult: ["sequence", "discrete_cost", "alpha"],
+    dtwmean.ClusteringParams: ["k", "beta", "delta", "p", "q", "ell", "eps"],
+    RunConfig: [
+        "algo", "p", "q", "ell", "eps", "delta", "seed", "input", "mode", "max_iters",
+    ],
+}
+
 
 def test_public_names_are_exactly_the_listed_ones():
     assert sorted(dtwmean.__all__) == PUBLIC_NAMES
@@ -53,3 +66,8 @@ def test_public_names_are_exactly_the_listed_ones():
 def test_every_public_name_resolves():
     for name in dtwmean.__all__:
         assert getattr(dtwmean, name) is not None, name
+
+
+def test_public_types_have_exactly_the_listed_fields():
+    for cls, names in PUBLIC_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__

@@ -154,6 +154,14 @@ class TestExitCodes:
         assert main(["bench", "--input", str(path)]) == 2
         assert "run config field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"k": 3}, {"beta": 5.0}])
+    def test_bench_rejects_clustering_fields(self, capsys, tmp_path, dataset_path, entry):
+        # bench runs no clustering, so a k or beta is an unknown field
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"runs": [{"algo": "sample", "input": dataset_path, **entry}]}))
+        assert main(["bench", "--input", str(path)]) == 2
+        assert "unknown run config fields" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

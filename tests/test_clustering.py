@@ -8,8 +8,6 @@ from dtwmean import (
     Dataset,
     DomainError,
     PointSequence,
-    cand1,
-    cand2,
     clustering_cost,
     cost,
     dtw,
@@ -17,6 +15,7 @@ from dtwmean import (
     k_clustering,
     simplify,
 )
+from dtwmean.clustering import _cand1, _cand2, _PointTable
 
 from conftest import random_dataset, seq
 
@@ -64,31 +63,38 @@ class TestSampleSizes:
         assert combos >= 20
 
 
+def cand1_ids(T, beta, delta, eps, p, ell, seed):
+    """The pool-id tuples `k_clustering`'s cand1 generator draws at its root."""
+    pool_ids = np.arange(len(T.vertex_pool()))
+    return _cand1(pool_ids, T.m, beta, delta, eps, p, ell, np.random.default_rng(seed))
+
+
 class TestCandidateGenerators:
     def test_cand1_ell_one_gives_single_vertices(self, rng):
         T = random_dataset(rng, n=3, max_len=3)
-        cs = cand1(T, beta=4.0, delta=0.3, eps=1.0, p=1.0, ell=1, seed=2)
-        assert cs.provenance == "sampled"
-        assert all(c.complexity == 1 for c in cs.candidates)
-        pool_keys = {tuple(v) for v in T.vertex_pool()}
-        assert all(tuple(c.vertices[0]) in pool_keys for c in cs.candidates)
+        ids = cand1_ids(T, beta=4.0, delta=0.3, eps=1.0, p=1.0, ell=1, seed=2)
+        assert ids and all(len(c) == 1 for c in ids)
+        assert len(set(ids)) == len(ids)
+        assert all(0 <= c[0] < len(T.vertex_pool()) for c in ids)
 
     def test_cand2_copies_collapse_to_one_simplification(self):
         s = seq(0, 4, 4, 0)
         T = Dataset([s] * 5)
-        cs = cand2(T, beta=4.0, p=1.0, delta=0.5, ell=2, seed=3)
-        assert cs.provenance == "simplified"
-        assert len(cs.candidates) == 1
+        table = _PointTable(T, 1.0, 2)
+        found = _cand2(tuple(range(T.n)), table.simplified, 4.0, 0.5, np.random.default_rng(3))
+        assert len(found) == 1
+        [(c, i)] = found.items()
+        cand = table.sequence(c, (i,))
         expected = simplify(s, 2, 1.0).sequence
-        assert cs.candidates[0] == expected
-        n_times = cost(T, cs.candidates[0], 1, 1)
+        assert cand == expected
+        n_times = cost(T, cand, 1, 1)
         assert n_times == pytest.approx(5 * dtw(s, expected, 1).distance, rel=1e-9)
 
     def test_cand1_seed_reproducible(self, rng):
         T = random_dataset(rng, n=3, max_len=3)
-        a = cand1(T, 4.0, 0.3, 1.0, 1.0, 2, seed=9)
-        b = cand1(T, 4.0, 0.3, 1.0, 1.0, 2, seed=9)
-        assert [c.key() for c in a.candidates] == [c.key() for c in b.candidates]
+        a = cand1_ids(T, 4.0, 0.3, 1.0, 1.0, 2, seed=9)
+        b = cand1_ids(T, 4.0, 0.3, 1.0, 1.0, 2, seed=9)
+        assert a == b
 
     def test_cand1_contains_good_subset_candidate(self, rng):
         # Monte-Carlo sanity: for a fixed half of the input, the candidate set
@@ -99,8 +105,9 @@ class TestCandidateGenerators:
             T = planted_two_groups(rng, per_group=2)
             half = Dataset(T.sequences[:2])
             opt = exact_clustering(half, 1, 2, "line-1-1")[1]
-            cs = cand1(T, beta=2.0, delta=0.2, eps=1.0, p=1.0, ell=2, seed=300 + t)
-            best = min(clustering_cost(half, [c], 1, 1) for c in cs.candidates)
+            pool = T.vertex_pool()
+            ids = cand1_ids(T, beta=2.0, delta=0.2, eps=1.0, p=1.0, ell=2, seed=300 + t)
+            best = min(clustering_cost(half, [pool[list(c)]], 1, 1) for c in ids)
             if best <= 3.0 * opt + 1e-9:
                 hits += 1
         assert hits / trials >= 0.75

@@ -128,6 +128,11 @@ class TestEnumerateWarpings:
         assert len(enumerate_warpings(2, 3)) == 5
         assert warping_count(6, 6) == len(enumerate_warpings(6, 6))
 
+    def test_count_with_a_single_vertex_is_one(self):
+        # D(m, 1) = D(1, m) = 1, answered without building an m-long row
+        assert warping_count(10**7, 1) == warping_count(1, 10**7) == 1
+        assert all(warping_count(m, 1) == len(enumerate_warpings(m, 1)) for m in (1, 2, 5))
+
     def test_no_duplicates_and_valid(self):
         ws = enumerate_warpings(3, 4)
         assert len({w.pairs for w in ws}) == len(ws)

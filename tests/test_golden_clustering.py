@@ -27,10 +27,10 @@ from dtwmean import (
     ClusteringParams,
     Dataset,
     PointSequence,
-    cand2,
     k_clustering,
     simplify,
 )
+from dtwmean.clustering import _cand2, _PointTable
 
 GOLDEN = Path(__file__).parent / "data" / "golden_clustering.json"
 
@@ -143,7 +143,9 @@ def test_cand2_keeps_the_sign_of_zero_of_each_simplification():
     # but the second sequence's simplification is itself and keeps its -0.0
     T = Dataset([PointSequence([[0.0], [1.0], [2.0]]), PointSequence([[-0.0], [7.0], [8.0]])])
     want = [simplify(s, 3, 1.0).sequence.vertices for s in T.sequences]
-    got = cand2(T, beta=4.0, p=1.0, delta=0.5, ell=3, seed=0).candidates
+    table = _PointTable(T, 1.0, 3)
+    found = _cand2(tuple(range(T.n)), table.simplified, 4.0, 0.5, np.random.default_rng(0))
+    got = [table.sequence(c, (i,)) for c, i in found.items()]
     assert len(got) == 2
     for c in got:
         assert any(

@@ -8,17 +8,24 @@ from dtwmean import (
     CapacityError,
     Dataset,
     DomainError,
-    cand1,
-    cand2,
     cost,
     exact_mean,
     mean_c,
     mean_c_d,
 )
-from dtwmean.clustering import cand1_sample_size, cand2_sample_size
-from dtwmean.meanapprox import eps_prime, mean_c_sample_size
+from dtwmean.clustering import _cand1, _cand2, _PointTable, cand1_sample_size, cand2_sample_size
+from dtwmean.meanapprox import dedup_rows, enumerate_tuples, eps_prime, mean_c_sample_size
+from dtwmean.ranges import epsilon_net
 
 from conftest import random_dataset, seq
+
+
+def assert_argmin(T, res, points):
+    """`res` is the cheapest of every sequence of length 1..2 over `points`."""
+    costs = [cost(T, c, 1, 1) for block in enumerate_tuples(points, 2) for c in block]
+    assert res.candidates_scored == len(costs)
+    assert all(res.cost <= c + 1e-12 for c in costs)
+    assert res.cost == pytest.approx(min(costs), rel=1e-12)
 
 
 class TestSampleSize:
@@ -71,9 +78,18 @@ class TestSampleGuard:
         ),
         "cand1": (
             cand1_sample_size(5.0, 0.3, 1.0, 1.0, 3, 2),
-            lambda T: cand1(T, 5.0, 0.3, 1.0, 1.0, 2, seed=0),
+            lambda T: _cand1(
+                np.arange(len(T.vertex_pool())), T.m, 5.0, 0.3, 1.0, 1.0, 2,
+                np.random.default_rng(0),
+            ),
         ),
-        "cand2": (cand2_sample_size(5.0, 0.3), lambda T: cand2(T, 5.0, 1.0, 0.3, 2, seed=0)),
+        "cand2": (
+            cand2_sample_size(5.0, 0.3),
+            lambda T: _cand2(
+                tuple(range(T.n)), _PointTable(T, 1.0, 2).simplified, 5.0, 0.3,
+                np.random.default_rng(0),
+            ),
+        ),
     }
 
     @pytest.mark.parametrize("algo", sorted(RUNS))
@@ -106,13 +122,15 @@ class TestMeanC:
         T = Dataset([s] * 4)
         res = mean_c(T, 0.3, 1.0, 1.0, 2, seed=11)
         assert res.cost == 0.0
-        assert res.candidate_set.provenance == "sampled"
 
     def test_argmin_contract(self, rng):
         T = random_dataset(rng, n=4, max_len=3)
         res = mean_c(T, 0.3, 1.0, 1.0, 2, seed=5)
-        for cand in res.candidate_set.candidates:
-            assert res.cost <= cost(T, cand, 1, 1) + 1e-12
+        # the candidates mean_c scores: every tuple over its seeded sample
+        pool = T.vertex_pool()
+        size = mean_c_sample_size(T.m, 2, 0.3, 1.0, 1.0)
+        draws = np.random.default_rng(5).integers(0, len(pool), size=size)
+        assert_argmin(T, res, dedup_rows(pool[draws]))
 
     def test_reported_cost_recomputable(self, rng):
         T = random_dataset(rng, n=4, max_len=3)
@@ -149,7 +167,6 @@ class TestMeanCD:
         T = Dataset([s] * 3)
         res = mean_c_d(T, 1.0, 1.0, 2)
         assert res.cost == 0.0
-        assert res.candidate_set.provenance == "net"
 
     def test_deterministic_bit_for_bit(self, rng):
         T = random_dataset(rng, n=4, max_len=3)
@@ -169,5 +186,4 @@ class TestMeanCD:
     def test_argmin_contract(self, rng):
         T = random_dataset(rng, n=3, max_len=3)
         res = mean_c_d(T, 1.0, 1.0, 2)
-        for cand in res.candidate_set.candidates:
-            assert res.cost <= cost(T, cand, 1, 1) + 1e-12
+        assert_argmin(T, res, epsilon_net(T.vertex_pool(), eps_prime(1.0, 1.0) / T.m))
