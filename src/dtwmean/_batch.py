@@ -120,18 +120,13 @@ def score_tuples(
     return totals
 
 
-def argmin_first(scores: np.ndarray) -> int:
-    """Index of the strictly smallest score; ties resolve to the first index."""
-    return int(np.argmin(scores))
-
-
 def argmin_fold(groups, best=(math.inf, None)):
     """Fold (scores, pick) groups, in order, into `best` = (cost, winner): a
     score strictly below the cost so far wins, the first index of a group
     first; the winner is pick(i) of the winning index."""
     best_cost, winner = best
     for scores, pick in groups:
-        i = argmin_first(scores)
+        i = int(np.argmin(scores))
         if scores[i] < best_cost:
             best_cost, winner = float(scores[i]), pick(i)
     return best_cost, winner

@@ -15,7 +15,7 @@ root-to-leaf path isolates each optimal cluster well enough for the
 generator's per-subset guarantee to apply.
 
 Both generators only ever emit sequences of input vertices, so the search
-runs on a point table: the dataset's vertex pool (as `Dataset.vertex_pool`)
+runs on a point table: the dataset's vertex pool (`Dataset.point_table`)
 with every input sequence held as an array of pool ids.  A candidate is a
 tuple of pool ids; its row of dtw_p(c, tau)^q over the dataset is scored
 once, batched by length through `_batch.cost_rows`, and looked up by the
@@ -32,11 +32,11 @@ from itertools import product
 
 import numpy as np
 
-from ._batch import argmin_first, cost_rows
-from .core import Dataset, PointSequence, dtw_distances
+from ._batch import cost_rows
+from .core import Dataset, PointSequence, dedup_rows, dtw_distances
 from .errors import CapacityError, DomainError, require
-from .meanapprox import CANDIDATE_GUARD, guard_draws, tuple_count
-from .simplify import simplify
+from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
+from .simplify import _anchors
 
 NODE_GUARD = 1_000_000
 
@@ -110,11 +110,7 @@ def _cand1(
     size = guard_draws(cand1_sample_size(beta, delta, eps, p, m, ell))
     draws = rng.integers(0, len(pool_ids), size=size)
     sample = list(dict.fromkeys(pool_ids[draws].tolist()))
-    total = tuple_count(len(sample), ell, CANDIDATE_GUARD)
-    if total > CANDIDATE_GUARD:
-        raise CapacityError(
-            f"at least {total} candidates exceed the guard of {CANDIDATE_GUARD}"
-        )
+    guard_tuples(len(sample), ell, CANDIDATE_GUARD)
     return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
 
 
@@ -144,11 +140,8 @@ class _PointTable:
     def simplified(self, i: int) -> tuple[int, ...]:
         """Pool ids of sequence i's simplification, computed once per sequence."""
         if i not in self._simplified:
-            verts = simplify(self.T.sequences[i], self.ell, self.p).sequence.vertices
-            own = self.T.sequences[i].vertices
-            # simplify picks the first of equal vertices, so match the first
-            pos = (own[None, :, :] == verts[:, None, :]).all(axis=2).argmax(axis=1)
-            self._simplified[i] = tuple(self.seq_ids[i][pos].tolist())
+            anchors, _ = _anchors(self.T.sequences[i].vertices, self.ell, self.p)
+            self._simplified[i] = tuple(self.seq_ids[i][anchors].tolist())
         return self._simplified[i]
 
     def sequence(self, ids: tuple[int, ...], src: tuple[int, ...]) -> PointSequence:
@@ -220,10 +213,7 @@ def k_clustering(
             return list(found), [(i,) for i in found.values()]
         if active not in pools:
             ids = np.concatenate([seq_ids[i] for i in active])
-            pools[active] = (
-                np.array(list(dict.fromkeys(ids.tolist())), dtype=np.intp),
-                max(len(seq_ids[i]) for i in active),
-            )
+            pools[active] = (dedup_rows(ids), max(len(seq_ids[i]) for i in active))
         pool_ids, m = pools[active]
         cands = _cand1(pool_ids, m, beta, delta_node, params.eps, p, ell, rng)
         return cands, [active] * len(cands)
@@ -255,7 +245,7 @@ def k_clustering(
         if len(centers) == k - 1:
             count_nodes(len(cands))
             totals = (R if dmin is None else np.minimum(dmin, R)).sum(axis=1)
-            i = argmin_first(totals)
+            i = int(np.argmin(totals))
             record(centers + [(cands[i], srcs[i])], float(totals[i]))
         else:
             for c, src, row in zip(cands, srcs, R):

@@ -140,6 +140,13 @@ class Dataset:
         return np.array(list(index), dtype=float), ids
 
 
+def dedup_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct entries of a 1-D array, or rows of a 2-D one, in
+    first-occurrence order; equal rows (-0.0 equals 0.0) keep their first copy."""
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
 @dataclass(frozen=True)
 class Warping:
     """A monotone coupling path through the index grid of two sequences.

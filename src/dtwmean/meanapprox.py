@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from ._batch import argmin_fold, tuple_groups
-from .core import Dataset, PointSequence
+from .core import Dataset, PointSequence, dedup_rows
 from .errors import CapacityError, DomainError, require
 from .ranges import epsilon_net
 
@@ -61,14 +61,6 @@ def guard_draws(size: int) -> int:
     return size
 
 
-def dedup_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows in first-occurrence order."""
-    seen: dict[tuple, None] = {}
-    for r in rows:
-        seen.setdefault(tuple(r), None)
-    return np.array(list(seen), dtype=float)
-
-
 def enumerate_tuples(points: np.ndarray, ell: int) -> list[np.ndarray]:
     """All sequences of length 1..ell over `points`, one (K, L, d) array per L.
 
@@ -97,16 +89,22 @@ def tuple_count(u: int, ell: int, guard: float) -> int:
     return total
 
 
+def guard_tuples(u: int, ell: int, guard: int, hint: str = "") -> int:
+    """Number of sequences of length 1..ell over u points, or a
+    `CapacityError` before any is built if it exceeds `guard`."""
+    total = tuple_count(u, ell, guard)
+    if total > guard:
+        raise CapacityError(f"at least {total} candidates exceed the guard of {guard}{hint}")
+    return total
+
+
 def _cheapest_tuple(
-    T: Dataset, points: np.ndarray, ell: int, p: float, hint: str = ""
+    T: Dataset, points: np.ndarray, ell: int, p: float, q: float, guard: int, hint: str = ""
 ) -> MeanResult:
-    """Cheapest sequence of length <= ell over `points` under cost_p^p."""
-    total = tuple_count(len(points), ell, CANDIDATE_GUARD)
-    if total > CANDIDATE_GUARD:
-        raise CapacityError(
-            f"at least {total} candidates exceed the guard of {CANDIDATE_GUARD}{hint}"
-        )
-    best, rows = argmin_fold(tuple_groups(T, points, ell, p, p))
+    """Cheapest sequence of length <= ell over `points` under cost_p^q, the
+    first in enumeration order on ties, with at most `guard` candidates."""
+    total = guard_tuples(len(points), ell, guard, hint)
+    best, rows = argmin_fold(tuple_groups(T, points, ell, p, q))
     return MeanResult(sequence=PointSequence(rows), cost=best, candidates_scored=total)
 
 
@@ -127,8 +125,10 @@ def mean_c(
     size = guard_draws(mean_c_sample_size(T.m, ell, delta, eps, p))
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, len(pool), size=size)
-    sample = dedup_rows(pool[draws])
-    return _cheapest_tuple(T, sample, ell, p, "; increase eps or delta, or lower ell")
+    # pool rows are pairwise distinct, so distinct ids are the distinct rows
+    sample = pool[dedup_rows(draws)]
+    hint = "; increase eps or delta, or lower ell"
+    return _cheapest_tuple(T, sample, ell, p, p, CANDIDATE_GUARD, hint)
 
 
 def mean_c_d(T: Dataset, eps: float, p: float, ell: int) -> MeanResult:
@@ -141,6 +141,6 @@ def mean_c_d(T: Dataset, eps: float, p: float, ell: int) -> MeanResult:
     require(eps > 0, "eps must be positive")
     require(p >= 1, "p must be >= 1")
     require(ell >= 1, "ell must be >= 1")
-    pool = T.vertex_pool()
-    net = epsilon_net(pool, eps_prime(eps, p) / T.m)
-    return _cheapest_tuple(T, net, ell, p)
+    net = epsilon_net(T.vertex_pool(), eps_prime(eps, p) / T.m)
+    require(len(net) > 0, "the eps-net of the vertex pool is empty")
+    return _cheapest_tuple(T, net, ell, p, p, CANDIDATE_GUARD)

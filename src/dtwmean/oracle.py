@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import argmin_fold, tuple_groups
 from .core import (
     Dataset,
     PointSequence,
@@ -31,8 +30,8 @@ from .core import (
     optimal_sections,
     warping_count,
 )
-from .errors import CapacityError, require
-from .meanapprox import tuple_count
+from .errors import CapacityError, DomainError, require
+from .meanapprox import _cheapest_tuple
 
 MODES = ("euclidean-2-2", "line-1-1", "discrete")
 
@@ -64,17 +63,24 @@ def _resolve_mode(T: Dataset, mode: str, p, q) -> tuple[float, float]:
     return float(p), float(q)
 
 
+def _finite(cost: float) -> float:
+    if not math.isfinite(cost):
+        raise DomainError("the oracle's cost overflows float64; rescale the coordinates")
+    return cost
+
+
 def _median_cost(values: list[float]) -> tuple[float, float]:
     s = sorted(values)
     med = s[(len(s) - 1) // 2]  # lower median
-    return med, float(sum(abs(v - med) for v in s))
+    return med, _finite(float(sum(abs(v - med) for v in s)))
 
 
 def _mean_cost(values: list[np.ndarray]) -> tuple[np.ndarray, float]:
     arr = np.array(values)
-    center = arr.mean(axis=0)
-    diff = arr - center
-    return center, float((diff * diff).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = arr.mean(axis=0)
+        diff = arr - center
+        return center, _finite(float((diff * diff).sum()))
 
 
 def _groups_for_warping(pairs, ell: int, tau: PointSequence, as_scalar: bool):
@@ -153,14 +159,9 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
 
         recurse(0)
 
-    assert best_vertices is not None and best_tuple is not None
-    verts = (
-        np.array(best_vertices).reshape(-1, 1)
-        if scalar
-        else np.array(best_vertices)
-    )
+    _finite(best_cost)  # no warping tuple wins only if every total overflows
     return OracleResult(
-        mean=PointSequence(verts),
+        mean=PointSequence(np.array(best_vertices).reshape(len(best_vertices), -1)),
         cost=float(best_cost),
         warping_tuple=best_tuple,
         mode=mode,
@@ -168,18 +169,9 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
 
 
 def _exact_mean_discrete(T: Dataset, ell: int, p: float, q: float) -> OracleResult:
-    pool = T.vertex_pool()
-    total = tuple_count(len(pool), ell, TUPLE_GUARD)
-    if total > TUPLE_GUARD:
-        raise CapacityError(
-            f"at least {total} pool candidates exceed the guard of {TUPLE_GUARD}"
-        )
-    best_cost, rows = argmin_fold(tuple_groups(T, pool, ell, p, q))
-    best_seq = PointSequence(rows)
-    _, warpings = optimal_sections(best_seq, T, p)
-    return OracleResult(
-        mean=best_seq, cost=best_cost, warping_tuple=warpings, mode="discrete"
-    )
+    res = _cheapest_tuple(T, T.vertex_pool(), ell, p, q, TUPLE_GUARD)
+    _, warpings = optimal_sections(res.sequence, T, p)
+    return OracleResult(res.sequence, res.cost, warpings, mode="discrete")
 
 
 def exact_mean(

@@ -28,6 +28,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .core import dedup_rows
 from .errors import CapacityError, DomainError, require
 
 #: Guards keeping the subset enumeration desk-scale.
@@ -58,7 +59,8 @@ def _sphere_ranges(Y: np.ndarray, combos: np.ndarray, bit: np.ndarray) -> np.nda
     else:
         base = pts[:, 0]
         V = pts[:, 1:] - base[:, None]  # (S, k-1, d)
-        scale = np.maximum(1.0, np.abs(V).max(axis=(1, 2)))
+        # both tolerances are relative, so the ranges do not depend on scale
+        scale = np.abs(V).max(axis=(1, 2))
         keep = np.linalg.matrix_rank(V, tol=_RANK_TOL * scale) == k - 1
         pts, base, V, combos = pts[keep], base[keep], V[keep], combos[keep]
         gram = 2.0 * (V @ V.transpose(0, 2, 1))
@@ -74,7 +76,7 @@ def _sphere_ranges(Y: np.ndarray, combos: np.ndarray, bit: np.ndarray) -> np.nda
         center = base + (V.transpose(0, 2, 1) @ t)[..., 0]
         radii = np.linalg.norm(pts - center[:, None], axis=2)
         r = radii[:, 0]
-        keep = (np.abs(radii - r[:, None]) <= 1e-6 * np.maximum(1.0, r)[:, None]).all(axis=1)
+        keep = (np.abs(radii - r[:, None]) <= 1e-6 * r[:, None]).all(axis=1)
         center, r, combos = center[keep], r[keep], combos[keep]
     dists = np.linalg.norm(Y[None] - center[:, None], axis=2)  # (S, n)
     members = bit[combos]  # (S, k)
@@ -104,8 +106,7 @@ def _range_masks(points) -> tuple[np.ndarray, int]:
         raise CapacityError(
             f"{n} points exceed the subsystem guard {MAX_GROUND_POINTS}"
         )
-    keys = {tuple(v) for v in Y}
-    require(len(keys) == n, "ground set points must be pairwise distinct")
+    require(len(dedup_rows(Y)) == n, "ground set points must be pairwise distinct")
 
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
     found = [np.zeros(1, dtype=np.int64)]
@@ -152,11 +153,7 @@ def epsilon_net(points, eps: float) -> np.ndarray:
     smallest point index.
     """
     require(0 < eps <= 1, "eps must lie in (0, 1]")
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    seen: dict[tuple, None] = {}
-    for v in P:
-        seen.setdefault(tuple(v), None)
-    Q = np.array(list(seen), dtype=float)
+    Q = dedup_rows(np.atleast_2d(np.asarray(points, dtype=float)))
     nq = Q.shape[0]
 
     incidence = _incidence(*_range_masks(Q))

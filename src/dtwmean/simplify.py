@@ -41,9 +41,18 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
     seq = as_sequence(pi)
     require(ell >= 1, "ell must be >= 1")
     require(p >= 1, "p must be >= 1")
-    m = seq.complexity
+    anchors, total = _anchors(seq.vertices, ell, p)
+    return SimplificationResult(
+        sequence=PointSequence(seq.vertices[anchors]), discrete_cost=total ** (1.0 / p)
+    )
+
+
+def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
+    """Row indices into `pool`, an (m, d) sequence, of its best simplification
+    with at most ell vertices, and that simplification's dtw_p^p cost.  Of
+    equal vertices the first is the anchor."""
+    m = len(pool)
     L = min(ell, m)
-    pool = seq.vertices
 
     powd = pow_dist_matrix(pool, pool, p)  # (input position, pool point)
     prefix = np.vstack([np.zeros(m), np.cumsum(powd, axis=0)])  # (m+1, m)
@@ -78,8 +87,4 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
         anchors.append(int(seg_arg[a, i - 1]))
         i, j = a, j - 1
     anchors.reverse()
-
-    result = PointSequence(pool[anchors])
-    return SimplificationResult(
-        sequence=result, discrete_cost=float(D[m, j_star]) ** (1.0 / p)
-    )
+    return anchors, float(D[m, j_star])

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -253,6 +254,29 @@ def huge_path(tmp_path):
     return str(path)
 
 
+# the squared section costs of p = 2 overflow; the distances at p = 1 do not
+HUGE_SECTIONS = {"dimension": 1, "sequences": [[[6e299], [-2e300], [-2e300]], [[-2.7e300], [-2.7e300]]]}
+
+TINY_SPACING = {
+    "dimension": 2,
+    "sequences": [
+        [[0.0, 0.0], [1e-10, 5e-11], [2e-10, 1e-10]],
+        [[3e-11, 2e-10], [1.5e-10, 1.5e-10]],
+        [[5e-11, 2e-11], [1.2e-10, 1.1e-10], [2.2e-10, 7e-11]],
+    ],
+}
+
+SINGLE_VERTEX = {"dimension": 2, "sequences": [[[1.0, 2.0]], [[-0.5, 0.0]], [[3.0, -1.0]]]}
+
+DUPLICATED = {"dimension": 1, "sequences": [[[0.0], [0.0], [1.0], [-0.0], [1.0]]] * 3}
+
+
+def _write(tmp_path, obj) -> str:
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "argv",
@@ -284,6 +308,19 @@ class TestNonFinite:
             assert "overflows float64" in rows[algo]["error"]
         # the d = 1, p = q = 1 oracle takes medians and computes no distance table
         assert rows["oracle"]["result"]["cost"] == 8e200
+
+    @pytest.mark.parametrize("argv", [["oracle"], ["oracle", "--k", "2"]])
+    def test_overflowing_oracle_sections_exit_2(self, capsys, tmp_path, argv):
+        path = _write(tmp_path, HUGE_SECTIONS)
+        assert main([*argv, "--input", path, "--p", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "overflows float64" in err
+
+    def test_bench_flags_overflowing_oracle_invalid(self, capsys, tmp_path):
+        code, rep = run_cli(capsys, "bench", "--input", _write(tmp_path, HUGE_SECTIONS), "--p", "2")
+        assert code == 0
+        for row in rep["runs"]:
+            assert row["flags"] == ["invalid"] and "overflows float64" in row["error"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -328,3 +365,48 @@ class TestReproducibility:
         code_b, rep_b = run_cli(capsys, *argv[:1], "--input", dataset_path, *argv[1:])
         assert code_a == code_b == 0
         assert strip_timing(rep_a) == strip_timing(rep_b)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in a report")
+
+
+class TestExitCodeMatrix:
+    """Every command on degenerate inputs ends in a defined exit code, prints
+    strict JSON when it succeeds, and lets no numpy warning through."""
+
+    @pytest.mark.parametrize("p", ["1", "2"])
+    @pytest.mark.parametrize(
+        "data",
+        [HUGE_SECTIONS, TINY_SPACING, SINGLE_VERTEX, DUPLICATED],
+        ids=["huge", "tiny", "single-vertex", "duplicated"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dtw"],
+            ["simplify"],
+            ["mean", "--algo", "sample"],
+            ["mean", "--algo", "net"],
+            ["mean", "--algo", "refine"],
+            ["mean", "--algo", "dba"],
+            ["oracle"],
+            ["oracle", "--algo", "discrete"],
+            ["oracle", "--k", "2"],
+            ["cluster", "--algo", "cand1", "--k", "2", "--beta", "5"],
+            ["cluster", "--algo", "cand2", "--k", "2", "--beta", "5"],
+            ["bench"],
+        ],
+        ids=" ".join,
+    )
+    def test_defined_exit_and_strict_json(self, capsys, tmp_path, argv, data, p):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--input", _write(tmp_path, data), "--p", p])
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3)
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

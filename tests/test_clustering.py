@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtwmean import (
     ClusteringParams,
@@ -111,6 +113,40 @@ class TestCandidateGenerators:
             if best <= 3.0 * opt + 1e-9:
                 hits += 1
         assert hits / trials >= 0.75
+
+
+def reference_simplified(table, i):
+    """The pool ids of sequence i's simplification, matched back from
+    `simplify`'s output vertices by coordinate equality to the first equal
+    input vertex: the match `_PointTable.simplified` made before it took
+    the anchor indices from the simplification DP itself."""
+    verts = simplify(table.T.sequences[i], table.ell, table.p).sequence.vertices
+    own = table.T.sequences[i].vertices
+    pos = (own[None, :, :] == verts[:, None, :]).all(axis=2).argmax(axis=1)
+    return tuple(table.seq_ids[i][pos].tolist())
+
+
+# few distinct coordinates, signed zeros among them, so vertices repeat
+repeating = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5))
+
+
+@st.composite
+def repetitive_datasets(draw):
+    d = draw(st.integers(1, 2))
+    vertex = st.lists(repeating, min_size=d, max_size=d)
+    return Dataset(draw(st.lists(st.lists(vertex, min_size=1, max_size=6), min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repetitive_datasets(), st.integers(1, 4), st.sampled_from((1.0, 2.0)))
+def test_simplified_ids_match_the_coordinate_equality_reference(T, ell, p):
+    table = _PointTable(T, p, ell)
+    for i in range(T.n):
+        ids = table.simplified(i)
+        assert ids == reference_simplified(table, i)
+        # copied from sequence i, the ids rebuild simplify's output bit for bit
+        built = table.sequence(ids, (i,)).vertices
+        assert built.tobytes() == simplify(T.sequences[i], ell, p).sequence.vertices.tobytes()
 
 
 class TestClusteringCost:

@@ -22,7 +22,7 @@ from dtwmean import (
     warping_count,
     weak_triangle_check,
 )
-from dtwmean.core import dtw_distances, pow_dist_matrix, warping_pow_cost
+from dtwmean.core import dedup_rows, dtw_distances, pow_dist_matrix, warping_pow_cost
 from dtwmean.errors import CapacityError
 
 from conftest import random_dataset, random_sequence, seq
@@ -300,3 +300,36 @@ class TestWeakTriangle:
         z = random_sequence(rng, max_len=5, dim=d)
         p = float(rng.choice([1.0, 2.0]))
         assert weak_triangle_check(x, y, z, p)
+
+
+def reference_dedup(rows: np.ndarray) -> np.ndarray:
+    """First occurrence of each entry (1-D) or tuple-equal row (2-D), by dict."""
+    seen: dict = {}
+    for r in rows:
+        seen.setdefault(tuple(r) if rows.ndim == 2 else r.item(), r)
+    return np.array(list(seen.values()), dtype=rows.dtype).reshape(-1, *rows.shape[1:])
+
+
+class TestDedupRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5)), min_size=d, max_size=d),
+                min_size=1,
+                max_size=20,
+            )
+        )
+    )
+    def test_rows_keep_their_first_copy_bit_for_bit(self, rows):
+        rows = np.array(rows)
+        got, expected = dedup_rows(rows), reference_dedup(rows)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    def test_ids_in_first_occurrence_order(self, ids):
+        ids = np.array(ids, dtype=np.intp)
+        got = dedup_rows(ids)
+        assert got.dtype == np.intp
+        assert got.tolist() == list(dict.fromkeys(ids.tolist()))

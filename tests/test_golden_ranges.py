@@ -125,7 +125,7 @@ def _equidistant_sphere(pts: np.ndarray):
     if k == 1:
         return base.copy(), 0.0
     V = pts[1:] - base
-    scale = max(1.0, float(np.abs(V).max()))
+    scale = float(np.abs(V).max())
     if np.linalg.matrix_rank(V, tol=1e-9 * scale) < k - 1:
         return None
     gram = 2.0 * (V @ V.T)
@@ -137,7 +137,7 @@ def _equidistant_sphere(pts: np.ndarray):
     center = base + V.T @ t
     radii = np.linalg.norm(pts - center, axis=1)
     r = float(radii[0])
-    if not np.all(np.abs(radii - r) <= 1e-6 * max(1.0, r)):
+    if not np.all(np.abs(radii - r) <= 1e-6 * r):
         return None
     return center, r
 

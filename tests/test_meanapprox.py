@@ -18,6 +18,7 @@ from dtwmean.meanapprox import dedup_rows, enumerate_tuples, eps_prime, mean_c_s
 from dtwmean.ranges import epsilon_net
 
 from conftest import random_dataset, seq
+from test_core import reference_dedup
 
 
 def assert_argmin(T, res, points):
@@ -132,6 +133,27 @@ class TestMeanC:
         draws = np.random.default_rng(5).integers(0, len(pool), size=size)
         assert_argmin(T, res, dedup_rows(pool[draws]))
 
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_scores_exactly_the_distinct_drawn_rows(self, monkeypatch, seed):
+        # duplicated vertices and both signs of zero, so the draws repeat rows
+        T = Dataset([[[0.0, 1.0], [-0.0, 1.0], [2.0, 0.0]], [[2.0, -0.0], [0.0, 1.0], [1.0, 1.0]]])
+        scored = []
+        real = meanapprox.tuple_groups
+
+        def recording(T, points, ell, p, q):
+            scored.append(points.copy())
+            return real(T, points, ell, p, q)
+
+        monkeypatch.setattr(meanapprox, "tuple_groups", recording)
+        res = mean_c(T, 0.3, 1.0, 1.0, 2, seed=seed)
+        pool = T.vertex_pool()
+        size = mean_c_sample_size(T.m, 2, 0.3, 1.0, 1.0)
+        draws = np.random.default_rng(seed).integers(0, len(pool), size=size)
+        [points] = scored
+        for expected in (dedup_rows(pool[draws]), reference_dedup(pool[draws])):
+            assert points.shape == expected.shape and points.tobytes() == expected.tobytes()
+        assert res.candidates_scored == len(points) + len(points) ** 2
+
     def test_reported_cost_recomputable(self, rng):
         T = random_dataset(rng, n=4, max_len=3)
         res = mean_c(T, 0.3, 1.0, 2.0, 2, seed=5)
@@ -182,6 +204,21 @@ class TestMeanCD:
             opt = exact_mean(T, 2, "line-1-1").cost
             res = mean_c_d(T, 1.0, 1.0, 2)
             assert res.cost <= 3.0 * opt + 1e-9
+
+    def test_empty_net_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(meanapprox, "epsilon_net", lambda points, eps: np.empty((0, 1)))
+        with pytest.raises(DomainError, match="eps-net of the vertex pool is empty"):
+            mean_c_d(Dataset([seq(1, 2)] * 3), 1.0, 1.0, 2)
+
+    def test_tiny_coordinates_score_the_unit_scale_net(self):
+        T = Dataset(
+            [[[0, 0], [1, 0.5], [2, 1]], [[0.3, 2], [1.5, 1.5]], [[0.5, 0.2], [1.2, 1.1], [2.2, 0.7]]]
+        )
+        for p in (1.0, 2.0):
+            unit = mean_c_d(T, 1.0, p, 2)
+            for scale in (1e-9, 1e-10, 2.0**-100):
+                tiny = mean_c_d(Dataset([s.vertices * scale for s in T.sequences]), 1.0, p, 2)
+                assert tiny.candidates_scored == unit.candidates_scored
 
     def test_argmin_contract(self, rng):
         T = random_dataset(rng, n=3, max_len=3)

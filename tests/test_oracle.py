@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dtwmean.oracle as oracle
 from dtwmean import (
     CapacityError,
     Dataset,
@@ -91,6 +92,26 @@ class TestExactMean:
         with pytest.raises(CapacityError):
             exact_mean(T, 4, "line-1-1")
 
+
+    def test_discrete_guard_is_exact(self, monkeypatch):
+        T = Dataset([seq(0, 1), seq(2, 1)])  # 3 pool points: 3 + 9 tuples up to length 2
+        monkeypatch.setattr(oracle, "TUPLE_GUARD", 12)
+        assert exact_mean(T, 2, "discrete", 1, 1).cost == 2.0
+        monkeypatch.setattr(oracle, "TUPLE_GUARD", 11)
+        with pytest.raises(CapacityError, match="^at least 12 candidates exceed the guard of 11$"):
+            exact_mean(T, 2, "discrete", 1, 1)
+
+    @pytest.mark.parametrize(
+        "values, mode",
+        [
+            ([[6e299], [-2e300], [-2e300]], "euclidean-2-2"),  # squares overflow
+            ([[1.5e308], [-1.5e308]], "line-1-1"),  # a difference overflows
+        ],
+    )
+    def test_overflowing_section_cost_is_a_domain_error(self, values, mode):
+        T = Dataset([PointSequence(values), PointSequence([[-2.7e300]])])
+        with pytest.raises(DomainError, match="overflows float64"):
+            exact_mean(T, 1, mode)
 
 class TestExactClustering:
     def test_k_equals_n_zero_cost(self):

@@ -68,6 +68,10 @@ class TestBallRanges:
         with pytest.raises(CapacityError):
             ball_ranges(np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("gap", [4.5e-54, 1e-10])
+    def test_pairs_below_unit_spacing_share_a_range(self, gap):
+        assert frozenset({0, 1}) in ball_ranges([[0.0], [gap]])
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError):
             ball_ranges([[1.0], [1.0]])
@@ -106,6 +110,17 @@ class TestEpsilonNet:
         # every window of three consecutive integers must contain a net point
         for start in range(8):
             assert any(start <= c <= start + 2 for c in chosen)
+
+    @pytest.mark.parametrize("k", [-100, -40, 0, 40, 100])
+    def test_net_does_not_depend_on_scale(self, k, rng):
+        sets = [np.array([[0, 0], [1, 0.5], [2, 1], [0.3, 2], [1.5, 1.5]])]
+        sets += [rng.uniform(-3, 3, size=(9, d)) for d in (1, 2)]
+        for P in sets:
+            net = epsilon_net(P, 0.3)
+            assert len(net) > 0
+            # a power of two scales every coordinate exactly
+            assert np.array_equal(epsilon_net(P * 2.0**k, 0.3), net * 2.0**k)
+        assert len(epsilon_net(sets[0], 0.3)) == 3
 
     def test_eps_out_of_range(self):
         with pytest.raises(DomainError):
