@@ -303,11 +303,11 @@ class TestWeakTriangle:
 
 
 def reference_dedup(rows: np.ndarray) -> np.ndarray:
-    """First occurrence of each entry (1-D) or tuple-equal row (2-D), by dict."""
+    """First occurrence of each tuple-equal row of a 2-D array, by dict."""
     seen: dict = {}
     for r in rows:
-        seen.setdefault(tuple(r) if rows.ndim == 2 else r.item(), r)
-    return np.array(list(seen.values()), dtype=rows.dtype).reshape(-1, *rows.shape[1:])
+        seen.setdefault(tuple(r), r)
+    return np.array(list(seen.values())).reshape(-1, rows.shape[1])
 
 
 class TestDedupRows:
