@@ -15,6 +15,9 @@ The entry points differ only in how they take the final powers:
   other (numpy's array ``**`` rounds differently from Python's in the last
   bit for some elements).
 
+All three raise DomainError, without a numpy warning, when a q-th power
+overflows float64; the two that add powers up also raise when a sum does.
+
 Most candidate sets are all sequences of length 1..ell over a table of u
 points.  Row r of such a sequence's DTW grid depends only on its first r
 vertices, so `score_tuples` fills each row once per prefix and extends it to
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, pow_dist_matrix
+from .core import Dataset, pow_dist_matrix, q_overflow_error
 
 # cap on elements of one chunk's distance tables and DP rows
 _BLOCK_ELEMENTS = 4_000_000
@@ -54,8 +57,12 @@ def _listed_ends(T: Dataset, cands: np.ndarray, p: float) -> np.ndarray:
 def score_candidates(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
     """cost_p^q scores for a (K, L, d) candidate array."""
     total = np.zeros(len(cands))
-    for end in _listed_ends(T, cands, p):
-        total += (end ** (1.0 / p)) ** q
+    # the terms are non-negative, so any inf term leaves an inf total
+    with np.errstate(over="ignore"):
+        for end in _listed_ends(T, cands, p):
+            total += (end ** (1.0 / p)) ** q
+    if math.isinf(total.max(initial=0.0)):
+        raise q_overflow_error(q)
     return total
 
 
@@ -65,7 +72,10 @@ def cost_rows(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
     out = np.empty((len(cands), T.n))
     inv_p = 1.0 / p
     for j, end in enumerate(_listed_ends(T, cands, p).tolist()):
-        out[:, j] = [(a**inv_p) ** q for a in end]
+        try:
+            out[:, j] = [(a**inv_p) ** q for a in end]
+        except OverflowError:
+            raise q_overflow_error(q) from None
     return out
 
 
@@ -113,10 +123,15 @@ def score_tuples(
 
     # longer tuples extend by the whole table, so only ell = 1 splits it
     lead = max(1, u if ell > 1 else _BLOCK_ELEMENTS // (T.m * points.shape[1]))
-    for lo in range(0, u, lead):
-        for tau in T.sequences:
-            D = pow_dist_matrix(tau.vertices, points[lo : lo + lead], p)
-            walk(np.cumsum(D, axis=0), D[:, None, :], 1, lo)
+    with np.errstate(over="ignore"):
+        for lo in range(0, u, lead):
+            for tau in T.sequences:
+                D = pow_dist_matrix(tau.vertices, points[lo : lo + lead], p)
+                walk(np.cumsum(D, axis=0), D[:, None, :], 1, lo)
+    # the terms are non-negative, so any inf term leaves an inf total
+    for total in totals:
+        if math.isinf(total.max(initial=0.0)):
+            raise q_overflow_error(q)
     return totals
 
 

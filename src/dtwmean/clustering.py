@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from ._batch import cost_rows
-from .core import Dataset, PointSequence, dedup_rows, dtw_distances
+from .core import Dataset, PointSequence, dedup_rows, dtw_distances, q_overflow_error
 from .errors import CapacityError, DomainError, require
 from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
 from .simplify import _anchors
@@ -79,8 +79,13 @@ def clustering_cost(T: Dataset, centers, p: float, q: float) -> float:
     require(len(cs) >= 1, "need at least one center")
     rows = [dtw_distances(c, T, p) for c in cs]
     total = 0.0
-    for distances in zip(*rows):
-        total += min(distances) ** q
+    try:
+        for distances in zip(*rows):
+            total += min(distances) ** q
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise q_overflow_error(q)
     return total
 
 

@@ -23,7 +23,9 @@ WARPING_ENUMERATION_GUARD = 1_000_000
 
 #: Cap on m1 * m2 * d for one distance matrix (128 MB of float64), checked
 #: before allocating; the anti-diagonal sweep also stacks its grids in
-#: chunks of at most this many elements.
+#: chunks of at most this many elements.  For d <= 7 the table is built in
+#: about two m1 x m2 arrays, from d = 8 on through m1 x m2 x d arrays; the
+#: cap counts m1 * m2 * d either way.
 DISTANCE_GUARD = 16_000_000
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
@@ -186,6 +188,14 @@ class DtwResult:
 def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Matrix of pairwise Euclidean distances raised to the p-th power.
 
+    For d <= 7 the squared coordinate differences are added one coordinate
+    at a time, left to right, into one m1 x m2 array, so the table peaks at
+    about two m1 x m2 arrays instead of one m1 x m2 x d array.  That is the
+    order in which numpy sums an axis of fewer than 8 elements, so every
+    entry has the bits of ``np.sqrt((diff * diff).sum(axis=-1)) ** p`` over
+    the (m1, m2, d) array ``diff = a[:, None] - b[None]``.  From d = 8 on
+    numpy sums pairwise, so the table is built by that expression itself.
+
     Raises CapacityError, before allocating anything, when
     len(a) * len(b) * d exceeds DISTANCE_GUARD, and DomainError when an
     entry overflows float64 to inf.
@@ -197,8 +207,19 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
             f"{DISTANCE_GUARD} elements"
         )
     with np.errstate(over="ignore"):
-        diff = a[:, None, :] - b[None, :, :]
-        powd = np.sqrt((diff * diff).sum(axis=-1)) ** p
+        if d >= 8:
+            # numpy sums 8 or more terms pairwise, not left to right
+            diff = a[:, None, :] - b[None, :, :]
+            powd = (diff * diff).sum(axis=-1)
+        else:
+            powd = np.subtract.outer(a[:, 0], b[:, 0])
+            powd *= powd
+            for k in range(1, d):
+                diff = np.subtract.outer(a[:, k], b[:, k])
+                diff *= diff
+                powd += diff
+        np.sqrt(powd, out=powd)
+        powd **= p
     if math.isinf(powd.max()):
         raise DomainError(
             f"a distance raised to p = {p} overflows float64; rescale the coordinates"
@@ -368,13 +389,27 @@ def warping_pow_cost(
     return total
 
 
+def q_overflow_error(q: float) -> DomainError:
+    """The error for a cost whose q-th powers overflow float64."""
+    return DomainError(
+        f"a distance raised to q = {q}, or a sum of such powers, overflows "
+        "float64; rescale the coordinates"
+    )
+
+
 def cost(T: Dataset, c, p: float, q: float) -> float:
     """Sum over the dataset of dtw_p(c, tau)^q, folded in sequence order."""
     cseq = as_sequence(c)
     require(q >= 1, "q must be >= 1")
+    distances = dtw_distances(cseq, T, p)
     total = 0.0
-    for distance in dtw_distances(cseq, T, p):
-        total = total + distance**q
+    try:
+        for distance in distances:
+            total = total + distance**q
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise q_overflow_error(q)
     return total
 
 

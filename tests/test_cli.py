@@ -257,6 +257,9 @@ def huge_path(tmp_path):
 # the squared section costs of p = 2 overflow; the distances at p = 1 do not
 HUGE_SECTIONS = {"dimension": 1, "sequences": [[[6e299], [-2e300], [-2e300]], [[-2.7e300], [-2.7e300]]]}
 
+# at p = 1 the distances fit float64; their cubes do not
+HUGE_CUBES = {"dimension": 1, "sequences": [[[1e103], [-1e103]], [[3e103]], [[-2e103]]]}
+
 TINY_SPACING = {
     "dimension": 2,
     "sequences": [
@@ -321,6 +324,32 @@ class TestNonFinite:
         assert code == 0
         for row in rep["runs"]:
             assert row["flags"] == ["invalid"] and "overflows float64" in row["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--algo", "cand1", "--k", "1", "--beta", "3"],
+            ["oracle", "--k", "1"],
+            ["oracle", "--algo", "discrete"],
+        ],
+    )
+    def test_overflowing_q_powers_exit_2(self, capsys, tmp_path, argv):
+        path = _write(tmp_path, HUGE_CUBES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--input", path, "--p", "1", "--q", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("validation error")
+        assert "q = 3.0" in err and "overflows float64" in err
+
+    def test_bench_flags_overflowing_q_powers_invalid(self, capsys, tmp_path):
+        path = _write(tmp_path, HUGE_CUBES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "bench", "--input", path, "--p", "1", "--q", "3")
+        assert code == 0
+        row = next(row for row in rep["runs"] if row["algo"] == "oracle")
+        assert row["flags"] == ["invalid"] and "q = 3.0" in row["error"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -22,6 +23,8 @@ from dtwmean import (
     warping_count,
     weak_triangle_check,
 )
+from dtwmean._batch import cost_rows, score_candidates, score_tuples
+from dtwmean.clustering import clustering_cost
 from dtwmean.core import dedup_rows, dtw_distances, pow_dist_matrix, warping_pow_cost
 from dtwmean.errors import CapacityError
 
@@ -271,13 +274,97 @@ class TestOverflow:
     def test_every_distance_caller_raises(self):
         a, b = seq(1e200, -1e200), seq(3e200)
         T = Dataset([a, b])
+        # at p = 1 these distances fit float64; their cubes do not
+        c = seq(1e103, -1e103)
+        U = Dataset([c, seq(3e103)])
+        far = np.array([[[3e103]]])
+        # each square fits float64; the sum of the two does not
+        V = Dataset([seq(1e154), seq(-1e154)])
+        origin = np.zeros((1, 1, 1))
         for call in (
             lambda: dtw(a, b, 1.0),
             lambda: cost(T, a, 1.0, 1.0),
             lambda: simplify(a, 1, 1.0),
+            lambda: cost(U, c, 1.0, 3.0),
+            lambda: cost_rows(U, far, 1.0, 3.0),
+            lambda: score_candidates(U, far, 1.0, 3.0),
+            lambda: score_tuples(U, U.vertex_pool(), 2, 1.0, 3.0),
+            lambda: clustering_cost(U, [c], 1.0, 3.0),
+            lambda: cost(V, seq(0.0), 1.0, 2.0),
+            lambda: score_candidates(V, origin, 1.0, 2.0),
+            lambda: score_tuples(V, origin[0], 1, 1.0, 2.0),
+            lambda: clustering_cost(V, [seq(0.0)], 1.0, 2.0),
         ):
-            with pytest.raises(DomainError, match="overflows float64"):
-                call()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="overflows float64"):
+                    call()
+
+
+def reference_pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """The table through one (m1, m2, d) difference array and numpy's sum
+    over its last axis."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1)) ** p
+
+
+def table_inputs(rng, d: int):
+    """(a, b) pairs of (m, d) arrays: shapes from 1 x 1 to 300 x 300 at
+    scales 1e-5..1e5, then integer-rounded rows with duplicates and -0.0."""
+    shapes = [(1, 1), (1, 300), (300, 1), (17, 40), (300, 300)]
+    for (m1, m2), scale in zip(shapes, (1e5, 1e-5, 1.0, 1e-3, 1e3)):
+        yield rng.normal(scale=scale, size=(m1, d)), rng.normal(scale=scale, size=(m2, d))
+    a = np.round(rng.normal(scale=2.0, size=(30, d)))
+    b = np.concatenate([a[:10], -a[10:20], np.round(rng.normal(size=(5, d)))])
+    b[0] = -0.0
+    yield a, b
+
+
+class TestPowDistMatrix:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_equals_the_broadcast_reference_bit_for_bit(self, d, p):
+        rng = np.random.default_rng([d, int(2 * p)])
+        for a, b in table_inputs(rng, d):
+            got, want = pow_dist_matrix(a, b, p), reference_pow_dist_matrix(a, b, p)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_callers_match_the_reference_table_bit_for_bit(self, monkeypatch, d):
+        """dtw, cost, optimal_sections, simplify and the batch kernel give the
+        same results over the reference table, patched in at every import site."""
+        rng = np.random.default_rng(d)
+        T = random_dataset(rng, n=4, max_len=30, dim=d, lo=-5.0, hi=5.0, min_len=5)
+        c = random_sequence(rng, max_len=12, dim=d, lo=-5.0, hi=5.0, min_len=3)
+        points = T.vertex_pool()[:6]
+        cands = rng.uniform(-5.0, 5.0, size=(7, 3, d))
+
+        def run():
+            out = []
+            for p, q in [(1.0, 1.0), (1.5, 2.0), (2.0, 2.0), (3.0, 1.0)]:
+                res = dtw(c, T.sequences[0], p)
+                out += [
+                    (res.distance, res.warping),
+                    cost(T, c, p, q),
+                    optimal_sections(c, T, p)[1],
+                    simplify(T.sequences[1], 6, p),
+                    [t.view(np.int64).tolist() for t in score_tuples(T, points, 3, p, q)],
+                    score_candidates(T, cands, p, q).view(np.int64).tolist(),
+                ]
+            return out
+
+        shipped = run()
+        calls = []
+
+        def reference(a, b, p):
+            calls.append(1)
+            return reference_pow_dist_matrix(a, b, p)
+
+        for module in ("dtwmean.core", "dtwmean.simplify", "dtwmean._batch"):
+            monkeypatch.setattr(importlib.import_module(module), "pow_dist_matrix", reference)
+        assert run() == shipped
+        assert calls
 
 
 class TestWeakTriangle:
