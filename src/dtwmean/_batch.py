@@ -17,6 +17,8 @@ The entry points differ only in how they take the final powers:
 
 All three raise DomainError, without a numpy warning, when a q-th power
 overflows float64; the two that add powers up also raise when a sum does.
+The two that list candidates also raise when a DP path sum of p-th powers
+overflows, although every table entry fits.
 
 Most candidate sets are all sequences of length 1..ell over a table of u
 points.  Row r of such a sequence's DTW grid depends only on its first r
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, pow_dist_matrix, q_overflow_error
+from .core import Dataset, path_overflow_error, pow_dist_matrix, q_overflow_error
 
 # cap on elements of one chunk's distance tables and DP rows
 _BLOCK_ELEMENTS = 4_000_000
@@ -38,19 +40,23 @@ _BLOCK_ELEMENTS = 4_000_000
 
 def _listed_ends(T: Dataset, cands: np.ndarray, p: float) -> np.ndarray:
     """(n, K) DP end cells, the p-th-power DTW distances, of a (K, L, d)
-    candidate array against every sequence of T."""
+    candidate array against every sequence of T; DomainError if one is inf."""
     K, L, d = cands.shape
     ends = np.empty((T.n, K))
     step = max(1, _BLOCK_ELEMENTS // (L * T.m * d))
-    for s in range(0, K, step):
-        flat = cands[s : s + step].reshape(-1, d)
-        for j, tau in enumerate(T.sequences):
-            # D[k, c, i] = |cands[s + c, i] - tau[k]|^p
-            D = pow_dist_matrix(tau.vertices, flat, p).reshape(len(tau), -1, L)
-            rows = np.cumsum(D[:, :, 0], axis=0)
-            for i in range(1, L):
-                rows = _extend(rows, D[:, :, i, None], i + 1 < L)
-            ends[j, s : s + step] = rows[-1]
+    # a path sum may overflow although every table entry fits
+    with np.errstate(over="ignore"):
+        for s in range(0, K, step):
+            flat = cands[s : s + step].reshape(-1, d)
+            for j, tau in enumerate(T.sequences):
+                # D[k, c, i] = |cands[s + c, i] - tau[k]|^p
+                D = pow_dist_matrix(tau.vertices, flat, p).reshape(len(tau), -1, L)
+                rows = np.cumsum(D[:, :, 0], axis=0)
+                for i in range(1, L):
+                    rows = _extend(rows, D[:, :, i, None], i + 1 < L)
+                ends[j, s : s + step] = rows[-1]
+    if math.isinf(ends.max(initial=0.0)):
+        raise path_overflow_error(p)
     return ends
 
 

@@ -33,7 +33,14 @@ from itertools import product
 import numpy as np
 
 from ._batch import cost_rows
-from .core import Dataset, PointSequence, dedup_rows, dtw_distances, q_overflow_error
+from .core import (
+    Dataset,
+    PointSequence,
+    _distances,
+    _pow_ends,
+    dedup_rows,
+    q_overflow_error,
+)
 from .errors import CapacityError, DomainError, require
 from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
 from .simplify import _anchors
@@ -77,7 +84,7 @@ def clustering_cost(T: Dataset, centers, p: float, q: float) -> float:
     """Sum over the dataset of the q-th power of the distance to the nearest center."""
     cs = [c if isinstance(c, PointSequence) else PointSequence(c) for c in centers]
     require(len(cs) >= 1, "need at least one center")
-    rows = [dtw_distances(c, T, p) for c in cs]
+    rows = [_distances(ends, p) for ends in _pow_ends(cs, T.sequences, p)]
     total = 0.0
     try:
         for distances in zip(*rows):

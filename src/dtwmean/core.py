@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,11 +23,14 @@ from .errors import CapacityError, DomainError, require
 WARPING_ENUMERATION_GUARD = 1_000_000
 
 #: Cap on m1 * m2 * d for one distance matrix (128 MB of float64), checked
-#: before allocating; the anti-diagonal sweep also stacks its grids in
-#: chunks of at most this many elements.  For d <= 7 the table is built in
-#: about two m1 x m2 arrays, from d = 8 on through m1 x m2 x d arrays; the
-#: cap counts m1 * m2 * d either way.
+#: before allocating.  For d <= 7 the table is built in about two m1 x m2
+#: arrays, from d = 8 on through m1 x m2 x d arrays; the cap counts
+#: m1 * m2 * d either way.
 DISTANCE_GUARD = 16_000_000
+
+# cap on the stacked distance-table elements (times d) of one sweep chunk:
+# many small grids share a chunk up to it, and a pair above it sweeps alone
+_SWEEP_ELEMENTS = 1 << 18
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
@@ -185,6 +189,14 @@ class DtwResult:
     warping: Warping
 
 
+def _check_guard(m1: int, m2: int, d: int) -> None:
+    if m1 * m2 * d > DISTANCE_GUARD:
+        raise CapacityError(
+            f"a {m1} x {m2} x {d} distance matrix exceeds the guard of "
+            f"{DISTANCE_GUARD} elements"
+        )
+
+
 def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Matrix of pairwise Euclidean distances raised to the p-th power.
 
@@ -201,11 +213,7 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     entry overflows float64 to inf.
     """
     m1, m2, d = len(a), len(b), a.shape[1]
-    if m1 * m2 * d > DISTANCE_GUARD:
-        raise CapacityError(
-            f"a {m1} x {m2} x {d} distance matrix exceeds the guard of "
-            f"{DISTANCE_GUARD} elements"
-        )
+    _check_guard(m1, m2, d)
     with np.errstate(over="ignore"):
         if d >= 8:
             # numpy sums 8 or more terms pairwise, not left to right
@@ -227,58 +235,145 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return powd
 
 
-def _sweep(c: PointSequence, taus: Sequence[PointSequence], p: float):
-    """Accumulated p-th-power DTW grids of c against every tau, in chunks.
+def _padded(seqs: Sequence[PointSequence], length: int) -> np.ndarray:
+    """The (len(seqs) * length, d) vertices of seqs, each padded to `length`
+    by repeating its last vertex."""
+    lengths = np.array([s.complexity for s in seqs])
+    starts = np.cumsum(lengths) - lengths
+    rows = starts[:, None] + np.minimum(np.arange(length), lengths[:, None] - 1)
+    return np.concatenate([s.vertices for s in seqs])[rows.reshape(-1)]
 
-    Yields ``(S, transposed, lengths)`` per chunk of consecutive taus, with
-    at most DISTANCE_GUARD distance elements per chunk.  The chunk's B grids
-    are stacked, each tau padded to the chunk's longest, M, by repeating its
-    last vertex; a padded cell never feeds the cell (m1, m2) of its grid,
-    nor any cell a backtrack from there reads.  The stack is filled one
+
+def path_overflow_error(p: float) -> DomainError:
+    """The error for a DTW path sum of p-th powers that overflows float64."""
+    return DomainError(
+        f"a sum of distances raised to p = {p} overflows float64; rescale the coordinates"
+    )
+
+
+def _sweep(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float, full: bool):
+    """Accumulated p-th-power DTW grids of every center in cs against every
+    tau, stacked and filled in chunks.
+
+    Yields ``(rows, cols, ends, S, transposed)`` per chunk: the chunk covers
+    the centers ``cs[rows]`` against the taus ``taus[cols]``, and ``ends`` is
+    their (centers, taus) array of grid end cells, the p-th-power DTW
+    distances.  A chunk stacks its B grids center-major, each center and
+    each tau padded to the chunk's longest, C and M, by repeating its last
+    vertex; a padded cell never feeds the cell (m1, m2) of its grid, nor any
+    cell a backtrack from there reads.  The stack is filled one
     anti-diagonal at a time: every cell takes its p-th-power distance plus
     the min of its (diag, up, left) neighbours, the same add and min as the
     row-by-row recursion, so every value is the same.  Diagonals are
-    indexed along the shorter side n of the grids (over c, or over tau
-    when ``transposed``), so S has shape (m1 + M, n + 1, B): cell (i, j),
-    with i over c and j over tau, of grid b is
-    ``S[i + j + 1, (j if transposed else i) + 1, b]``, and every entry off
-    a grid is inf.
+    indexed along the shorter side n of the grids (over the centers, or over
+    the taus when ``transposed``).  With `full`, S keeps every diagonal and
+    has shape (C + M, n + 1, B): cell (i, j), with i over the center and j
+    over the tau, of grid b is ``S[i + j + 1, (j if transposed else i) + 1, b]``,
+    and every entry off a grid is inf.  Otherwise only three rolling
+    diagonals are kept, each grid's end cell is read as its diagonal passes,
+    and S is None.
+
+    A chunk holds whole center rows (every tau) while its distance table
+    stays within `_SWEEP_ELEMENTS` (and DISTANCE_GUARD) elements, else one
+    center against as many taus as fit.  Raises CapacityError, before
+    allocating any table, at the first pair, center-major, whose
+    m1 * m2 * d exceeds DISTANCE_GUARD, and DomainError when an end cell
+    overflows float64.
     """
     require(p >= 1, "p must be >= 1")
-    if c.dimension != taus[0].dimension:
-        raise DomainError(
-            f"dimension mismatch: {c.dimension} vs {taus[0].dimension}"
-        )
-    m1, d = c.vertices.shape
-    step = max(1, DISTANCE_GUARD // (m1 * max(t.complexity for t in taus) * d))
-    for s in range(0, len(taus), step):
-        chunk = taus[s : s + step]
-        lengths = [t.complexity for t in chunk]
-        B, M = len(chunk), max(lengths)
-        starts = np.cumsum([0] + lengths[:-1])[:, None]
-        rows = starts + np.minimum(np.arange(M), np.array(lengths)[:, None] - 1)
-        padded = np.concatenate([t.vertices for t in chunk])[rows.reshape(-1)]
-        powd = pow_dist_matrix(c.vertices, padded, p).reshape(m1, B, M)
-        transposed = M < m1
-        grids = powd.transpose((2, 0, 1) if transposed else (0, 2, 1))
-        n, width, _ = grids.shape
-        # cell (i, k - i) of the row-major (n, width) grid is row k + i * w
-        w = width - 1
-        flat = np.ascontiguousarray(grids).reshape(n * width, B)
-        diagonals = n + width - 1
-        S = np.full((diagonals + 1, n + 1, B), np.inf)
-        S[1, 1] = flat[0]
-        for k in range(1, diagonals):
-            lo, hi = max(0, k - w), min(k, n - 1)
-            cur = S[k + 1, lo + 1 : hi + 2]
-            np.minimum(S[k - 1, lo : hi + 1], S[k, lo : hi + 1], out=cur)
-            np.minimum(cur, S[k, lo + 1 : hi + 2], out=cur)
-            np.add(cur, flat[k + lo * w : k + hi * w + 1 : w], out=cur)
-        yield S, transposed, lengths
+    d = taus[0].dimension
+    for c in cs:
+        if c.dimension != d:
+            raise DomainError(f"dimension mismatch: {c.dimension} vs {d}")
+    clen = [c.complexity for c in cs]
+    tlen = [t.complexity for t in taus]
+    tmax = max(tlen)
+    for m1 in clen:
+        if m1 * tmax * d > DISTANCE_GUARD:
+            _check_guard(m1, next(m2 for m2 in tlen if m1 * m2 * d > DISTANCE_GUARD), d)
+    pair = max(clen) * tmax * d
+    cap = min(_SWEEP_ELEMENTS, DISTANCE_GUARD)
+    cstep = max(1, cap // (pair * len(taus)))
+    tstep = max(1, cap // pair)
+    for c0 in range(0, len(cs), cstep):
+        rows = slice(c0, c0 + cstep)
+        C = max(clen[rows])
+        a = _padded(cs[rows], C)
+        for t0 in range(0, len(taus), tstep):
+            cols = slice(t0, t0 + tstep)
+            M = max(tlen[cols])
+            b = _padded(taus[cols], M)
+            nc, nt = len(a) // C, len(b) // M
+            transposed = M < C
+            n, width = (M, C) if transposed else (C, M)
+            B = nc * nt
+            powd = pow_dist_matrix(a, b, p).reshape(nc, C, nt, M)
+            # cell (i, k - i) of the row-major (n, width) grid is row k + i * w
+            w = width - 1
+            flat = np.ascontiguousarray(
+                powd.transpose((3, 1, 0, 2) if transposed else (1, 3, 0, 2))
+            ).reshape(n * width, B)
+            # the grids whose end cell lies on each diagonal, and its columns in S
+            reads: dict[int, tuple[list[int], list[int]]] = {}
+            for g, (m1, m2) in enumerate(product(clen[rows], tlen[cols])):
+                grids, at = reads.setdefault(m1 + m2 - 2, ([], []))
+                grids.append(g)
+                at.append(m2 if transposed else m1)
+            diagonals = n + width - 1
+            # diagonal k is row (k + 1) % depth of S; row 0 starts as the inf
+            # diagonal -1.  Three rows suffice: a row reused for diagonal k
+            # keeps stale cells of diagonal k - 3 only below k's range, which
+            # no later diagonal reads, and never-written inf cells above it
+            depth = diagonals + 1 if full else 3
+            S = np.full((depth, n + 1, B), np.inf)
+            S[1, 1] = flat[0]
+            ends = np.empty(B)
+            if 0 in reads:
+                grids, at = reads[0]
+                ends[grids] = S[1, at, grids]
+            with np.errstate(over="ignore"):
+                for k in range(1, diagonals):
+                    lo, hi = max(0, k - w), min(k, n - 1)
+                    r0, r1, r2 = (k - 1) % depth, k % depth, (k + 1) % depth
+                    cur = S[r2, lo + 1 : hi + 2]
+                    np.minimum(S[r0, lo : hi + 1], S[r1, lo : hi + 1], out=cur)
+                    np.minimum(cur, S[r1, lo + 1 : hi + 2], out=cur)
+                    np.add(cur, flat[k + lo * w : k + hi * w + 1 : w], out=cur)
+                    if k in reads:
+                        grids, at = reads[k]
+                        ends[grids] = S[r2, at, grids]
+            if math.isinf(ends.max()):
+                raise path_overflow_error(p)
+            yield rows, cols, ends.reshape(nc, nt), S if full else None, transposed
+
+
+def _pow_ends(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float) -> np.ndarray:
+    """(len(cs), len(taus)) p-th-power DTW distances, from ends-only sweeps."""
+    out = np.empty((len(cs), len(taus)))
+    for rows, cols, ends, _, _ in _sweep(cs, taus, p, False):
+        out[rows, cols] = ends
+    return out
+
+
+def _kept_sweep(c: PointSequence, taus: Sequence[PointSequence], p: float):
+    """p-th-power DTW distances of c to every tau, as an array, from one kept
+    sweep, and a function that backtracks every pair's optimal warping from it."""
+    ends, grids = [], []
+    for _, _, chunk_ends, S, transposed in _sweep([c], taus, p, True):
+        ends.append(chunk_ends[0])
+        grids += [(S[:, :, b], transposed) for b in range(chunk_ends.shape[1])]
+
+    def warpings() -> list[Warping]:
+        return [
+            _backtrack(G, c.complexity, tau.complexity, transposed)
+            for (G, transposed), tau in zip(grids, taus)
+        ]
+
+    return np.concatenate(ends), warpings
 
 
 def _backtrack(G: np.ndarray, m1: int, m2: int, transposed: bool) -> Warping:
-    """The warping ending at (m1, m2) of one grid ``G = S[:, :, b]`` of a sweep.
+    """The warping ending at (m1, m2) of one grid ``G = S[:, :, b]`` of a full sweep.
 
     Ties prefer the diagonal step, then advancing in sigma, then in tau.
     """
@@ -319,25 +414,19 @@ def dtw(sigma, tau, p: float) -> DtwResult:
     Backtracking ties are broken by the fixed step preference
     (1,1) > (1,0) > (0,1) so the returned warping is deterministic.
     """
-    a = as_sequence(sigma)
-    b = as_sequence(tau)
-    S, transposed, _ = next(_sweep(a, [b], p))
-    m1, m2 = a.complexity, b.complexity
-    G = S[:, :, 0]
-    distance = float(G[m1 + m2 - 1, m2 if transposed else m1]) ** (1.0 / p)
-    return DtwResult(distance=distance, warping=_backtrack(G, m1, m2, transposed))
+    ends, warpings = _kept_sweep(as_sequence(sigma), [as_sequence(tau)], p)
+    return DtwResult(distance=_distances(ends, p)[0], warping=warpings()[0])
+
+
+def _distances(ends: np.ndarray, p: float) -> list[float]:
+    """dtw_p distances from p-th-power end cells, each root a Python float power."""
+    return [a ** (1.0 / p) for a in ends.tolist()]
 
 
 def dtw_distances(c, T: Dataset, p: float) -> list[float]:
-    """dtw_p(c, tau) for every tau of T, in order, from one sweep and no backtrack."""
-    cseq = as_sequence(c)
-    m1 = cseq.complexity
-    out: list[float] = []
-    for S, transposed, lengths in _sweep(cseq, T.sequences, p):
-        n = np.array(lengths)
-        ends = S[m1 + n - 1, n if transposed else m1, np.arange(len(n))]
-        out.extend(a ** (1.0 / p) for a in ends.tolist())
-    return out
+    """dtw_p(c, tau) for every tau of T, in order, from one ends-only sweep:
+    three rolling diagonals, no backtrack."""
+    return _distances(_pow_ends([as_sequence(c)], T.sequences, p)[0], p)
 
 
 def warping_count(m1: int, m2: int) -> int:
@@ -397,11 +486,8 @@ def q_overflow_error(q: float) -> DomainError:
     )
 
 
-def cost(T: Dataset, c, p: float, q: float) -> float:
-    """Sum over the dataset of dtw_p(c, tau)^q, folded in sequence order."""
-    cseq = as_sequence(c)
-    require(q >= 1, "q must be >= 1")
-    distances = dtw_distances(cseq, T, p)
+def _fold(distances: Iterable[float], q: float) -> float:
+    """Sum of the q-th powers of distances, folded in order with Python floats."""
     total = 0.0
     try:
         for distance in distances:
@@ -411,6 +497,13 @@ def cost(T: Dataset, c, p: float, q: float) -> float:
     if math.isinf(total):
         raise q_overflow_error(q)
     return total
+
+
+def cost(T: Dataset, c, p: float, q: float) -> float:
+    """Sum over the dataset of dtw_p(c, tau)^q, folded in sequence order."""
+    cseq = as_sequence(c)
+    require(q >= 1, "q must be >= 1")
+    return _fold(dtw_distances(cseq, T, p), q)
 
 
 @dataclass
@@ -450,14 +543,9 @@ def sections(c, T: Dataset, warpings: Sequence[Warping]) -> list[Section]:
 
 
 def optimal_sections(c, T: Dataset, p: float) -> tuple[list[Section], list[Warping]]:
-    """Sections of c under the optimal p-warpings :func:`dtw` returns, from one sweep."""
+    """Sections of c under the optimal p-warpings :func:`dtw` returns, from one kept sweep."""
     cseq = as_sequence(c)
-    warpings: list[Warping] = []
-    for S, transposed, lengths in _sweep(cseq, T.sequences, p):
-        warpings.extend(
-            _backtrack(S[:, :, b], cseq.complexity, m2, transposed)
-            for b, m2 in enumerate(lengths)
-        )
+    warpings = _kept_sweep(cseq, T.sequences, p)[1]()
     return sections(cseq, T, warpings), warpings
 
 

@@ -8,6 +8,12 @@ mean update is heuristic.  A round that fails to improve the cost is not
 accepted, so the reported trace is non-increasing for every p.  No
 approximation guarantee holds either way; the oracle tests exhibit instances
 where the converged cost is strictly worse than optimal.
+
+Each candidate costs one kept sweep (`core._kept_sweep`): its end cells
+give the cost, folded as `cost` folds it, and its grids the warpings of the
+next round, backtracked only if the candidate is accepted.  A run of r
+rounds makes 1 + r sweeps.  The initial candidates of `default_dba_init`
+are scored in one ends-only sweep over all n simplifications.
 """
 
 from __future__ import annotations
@@ -16,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PointSequence, as_sequence, cost, optimal_sections
+from .core import (
+    Dataset,
+    PointSequence,
+    Warping,
+    _distances,
+    _fold,
+    _kept_sweep,
+    _pow_ends,
+    as_sequence,
+)
 from .errors import require
 from .simplify import simplify
 
@@ -31,31 +46,42 @@ class DbaResult:
 
 
 def default_dba_init(T: Dataset, ell: int, p: float) -> PointSequence:
-    """Input sequence's simplification with the lowest cost, used as the default start."""
-    best = None
-    best_cost = None
-    for tau in T.sequences:
-        s = simplify(tau, ell, p).sequence
-        c = cost(T, s, p, p)
-        if best_cost is None or c < best_cost:
-            best, best_cost = s, c
-    return best
+    """Input sequence's simplification with the lowest cost, used as the
+    default start; ties go to the first."""
+    starts = [simplify(tau, ell, p).sequence for tau in T.sequences]
+    costs = [_fold(_distances(ends, p), p) for ends in _pow_ends(starts, T.sequences, p)]
+    return starts[costs.index(min(costs))]
+
+
+def _section_means(m: int, T: Dataset, warpings: list[Warping]) -> np.ndarray:
+    """(m, d) coordinate-wise means of the sections of a length-m center.
+
+    The warped pairs are stably sorted by center index, so each section is
+    one contiguous slice holding the rows of ``Section.values()`` in the
+    same order and layout, and its mean has the same bits.
+    """
+    pairs = np.concatenate([np.array(w.pairs) for w in warpings]) - 1
+    starts = np.cumsum([0] + [tau.complexity for tau in T.sequences[:-1]])
+    rows = np.repeat(starts, [len(w) for w in warpings]) + pairs[:, 1]
+    order = np.argsort(pairs[:, 0], kind="stable")
+    values = np.concatenate([tau.vertices for tau in T.sequences])[rows[order]]
+    bounds = np.cumsum(np.bincount(pairs[:, 0], minlength=m))[:-1]
+    return np.array([sec.mean(axis=0) for sec in np.split(values, bounds)])
 
 
 def dba(T: Dataset, init, p: float, max_iters: int = 50) -> DbaResult:
     """Iterated section-mean averaging from `init`, stopping on stagnation."""
     require(max_iters >= 1, "max_iters must be >= 1")
     current = as_sequence(init)
-    current_cost = cost(T, current, p, p)
+    ends, warpings = _kept_sweep(current, T.sequences, p)
+    current_cost = _fold(_distances(ends, p), p)
     trace = [current_cost]
     for _ in range(max_iters):
-        secs, _ = optimal_sections(current, T, p)
-        updated = PointSequence(
-            np.array([sec.values().mean(axis=0) for sec in secs])
-        )
-        new_cost = cost(T, updated, p, p)
+        updated = PointSequence(_section_means(current.complexity, T, warpings()))
+        ends, next_warpings = _kept_sweep(updated, T.sequences, p)
+        new_cost = _fold(_distances(ends, p), p)
         if current_cost == 0.0 or current_cost - new_cost < REL_TOL * current_cost:
             break
-        current, current_cost = updated, new_cost
+        current, current_cost, warpings = updated, new_cost, next_warpings
         trace.append(current_cost)
     return DbaResult(sequence=current, cost=current_cost, trace=trace)

@@ -47,25 +47,43 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
     )
 
 
+def _segments(powd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, m) tables seg_val[a, b] / seg_arg[a, b]: the best anchor cost and
+    pool index for the input block a..b (0-based, inclusive), inf / 0 for
+    a > b, from the (input position, pool point) p-th-power table `powd`.
+
+    The tables are filled one block length r at a time.  The row of block
+    a..a+r-1 is ``prefix[a + r] - prefix[a]``, so all m - r + 1 rows of
+    length r are one contiguous subtraction into a reused (m, m) buffer, and
+    their row argmins land on diagonal r - 1.  Each row is the same
+    subtraction of the same operands as block start by block start, so its
+    values, ties and anchors have the same bits.
+    """
+    m = len(powd)
+    prefix = np.zeros((m + 1, m))
+    np.cumsum(powd, axis=0, out=prefix[1:])
+    seg_val = np.full((m, m), np.inf)
+    seg_arg = np.zeros((m, m), dtype=int)
+    buf = np.empty((m, m))
+    rows = np.arange(0, m * m, m)  # flat offset of each buffer row
+    for r in range(1, m + 1):
+        k = m - r + 1
+        args = np.argmin(np.subtract(prefix[r:], prefix[:k], out=buf[:k]), axis=1)
+        # entries (a, a + r - 1), a = 0..m-r, of the row-major tables
+        diag = slice(r - 1, r - 1 + k * (m + 1), m + 1)
+        seg_arg.reshape(-1)[diag] = args
+        seg_val.reshape(-1)[diag] = buf.reshape(-1)[rows[:k] + args]
+    return seg_val, seg_arg
+
+
 def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
     """Row indices into `pool`, an (m, d) sequence, of its best simplification
     with at most ell vertices, and that simplification's dtw_p^p cost.  Of
-    equal vertices the first is the anchor."""
+    equal vertices the first is the anchor.  The block costs come from
+    `_segments`, which fills its tables one block length at a time."""
     m = len(pool)
     L = min(ell, m)
-
-    powd = pow_dist_matrix(pool, pool, p)  # (input position, pool point)
-    prefix = np.vstack([np.zeros(m), np.cumsum(powd, axis=0)])  # (m+1, m)
-
-    # seg_val[a, b] / seg_arg[a, b]: best anchor cost and pool index for the
-    # input block a..b (0-based, inclusive)
-    seg_val = np.full((m, m), np.inf)
-    seg_arg = np.zeros((m, m), dtype=int)
-    for a in range(m):
-        sums = prefix[a + 1 :] - prefix[a]  # rows b = a..m-1
-        args = np.argmin(sums, axis=1)
-        seg_arg[a, a:] = args
-        seg_val[a, a:] = sums[np.arange(m - a), args]
+    seg_val, seg_arg = _segments(pow_dist_matrix(pool, pool, p))
 
     # D[i, j]: cheapest cover of the prefix of length i by j anchored blocks
     D = np.full((m + 1, L + 1), np.inf)

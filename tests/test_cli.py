@@ -260,6 +260,9 @@ HUGE_SECTIONS = {"dimension": 1, "sequences": [[[6e299], [-2e300], [-2e300]], [[
 # at p = 1 the distances fit float64; their cubes do not
 HUGE_CUBES = {"dimension": 1, "sequences": [[[1e103], [-1e103]], [[3e103]], [[-2e103]]]}
 
+# each p = 2 table entry, 1e308, fits float64; a path sum of two does not
+HUGE_PATH_SUMS = {"dimension": 1, "sequences": [[[0.0], [0.0]], [[1e154], [1e154]]]}
+
 TINY_SPACING = {
     "dimension": 2,
     "sequences": [
@@ -341,6 +344,24 @@ class TestNonFinite:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("validation error")
         assert "q = 3.0" in err and "overflows float64" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dtw"],
+            ["cluster", "--algo", "cand1", "--k", "1", "--beta", "3"],
+            ["cluster", "--algo", "cand2", "--k", "1", "--beta", "3"],
+            ["mean", "--algo", "dba"],
+        ],
+    )
+    def test_overflowing_path_sums_exit_2(self, capsys, tmp_path, argv):
+        path = _write(tmp_path, HUGE_PATH_SUMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--input", path, "--p", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("validation error")
+        assert "distances raised to p = 2.0 overflows float64" in err
 
     def test_bench_flags_overflowing_q_powers_invalid(self, capsys, tmp_path):
         path = _write(tmp_path, HUGE_CUBES)

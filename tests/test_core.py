@@ -1,5 +1,6 @@
 import importlib
 import math
+from itertools import product
 import tracemalloc
 import warnings
 
@@ -15,6 +16,8 @@ from dtwmean import (
     PointSequence,
     Warping,
     cost,
+    dba,
+    default_dba_init,
     dtw,
     enumerate_warpings,
     optimal_sections,
@@ -29,6 +32,7 @@ from dtwmean.core import dedup_rows, dtw_distances, pow_dist_matrix, warping_pow
 from dtwmean.errors import CapacityError
 
 from conftest import random_dataset, random_sequence, seq
+from test_golden_distance import reference_dtw
 
 
 def brute_dtw(a: PointSequence, b: PointSequence, p: float) -> float:
@@ -239,6 +243,18 @@ class TestDistanceGuard:
         with pytest.raises(CapacityError):
             cost(T, c, 1.5, 2.0)
 
+    def test_first_pair_over_the_guard_raises_before_any_table(self):
+        cs = [seq(*range(10)), PointSequence(np.zeros((5000, 1)))]
+        T = Dataset([np.zeros((100, 1)), np.ones((4000, 1)), np.ones((5000, 1))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="a 5000 x 4000 x 1 distance matrix"):
+                clustering_cost(T, cs, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the 5000 x 4000 table alone is 160 MB
+
     @pytest.mark.parametrize("shape", [(20000, 1), (1, 20000)])
     def test_unequal_lengths_stay_linear_in_memory(self, shape):
         a, b = (np.arange(m, dtype=float).reshape(-1, 1) for m in shape)
@@ -250,6 +266,76 @@ class TestDistanceGuard:
             tracemalloc.stop()
         assert len(res.warping) == 20000
         assert peak < 64 * 2**20  # a 20000 x 20000 grid would be 3.2 GB
+
+
+def sweep_cases(rng, d: int):
+    """(centers, taus) lists: centers shorter and longer than the taus
+    (both grid orientations), single-vertex sequences on both sides, and
+    integer-rounded copies with many equal partial sums."""
+    shapes = [([1, 3, 9, 2], [1, 5, 2, 12, 7]), ([14, 6], [3, 1, 4]), ([1], [1, 1])]
+    for rounded in (False, True):
+        for clens, tlens in shapes:
+            yield tuple(
+                [PointSequence(np.round(v) if rounded else v)
+                 for v in (rng.uniform(-5, 5, size=(m, d)) for m in lens)]
+                for lens in (clens, tlens)
+            )
+
+
+class TestStackedSweep:
+    """`_sweep` against the row-by-row recursion, pair by pair, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_both_modes_match_scalar_dtw_in_every_chunking(self, monkeypatch, d, p):
+        rng = np.random.default_rng([d, int(2 * p)])
+        whole = core._SWEEP_ELEMENTS
+        for cs, taus in sweep_cases(rng, d):
+            want = [[reference_dtw(c.vertices, t.vertices, p) for t in taus] for c in cs]
+            assert [[dtw(c, t, p).distance for t in taus] for c in cs] == [
+                [w[0] for w in row] for row in want
+            ]
+            pair = max(c.complexity for c in cs) * max(t.complexity for t in taus) * d
+            # the whole stack in one chunk, one chunk per center, one per pair
+            for cap, chunks in ((whole, 1), (pair * len(taus), len(cs)), (1, len(cs) * len(taus))):
+                monkeypatch.setattr(core, "_SWEEP_ELEMENTS", cap)
+                for full in (False, True):
+                    got = {}
+                    sweeps = list(core._sweep(cs, taus, p, full))
+                    assert len(sweeps) == chunks
+                    for rows, cols, ends, S, transposed in sweeps:
+                        assert (S is not None) == full
+                        B = ends.shape[1]
+                        for (i, c), (j, t) in product(
+                            enumerate(cs[rows], rows.start), enumerate(taus[cols], cols.start)
+                        ):
+                            got[i, j] = float(ends[i - rows.start, j - cols.start]) ** (1.0 / p)
+                            assert got[i, j].hex() == want[i][j][0].hex()
+                            if full:
+                                b = (i - rows.start) * B + j - cols.start
+                                w = core._backtrack(S[:, :, b], len(c), len(t), transposed)
+                                assert list(w.pairs) == want[i][j][1]
+                    assert len(got) == len(cs) * len(taus)
+
+    def test_callers_are_unchanged_by_the_chunking(self, monkeypatch, rng):
+        T = random_dataset(rng, n=7, max_len=9, dim=2)
+        cs = [random_sequence(rng, max_len=6, dim=2) for _ in range(4)]
+        init = default_dba_init(T, 3, 2.0)
+
+        def run():
+            return (
+                [dtw_distances(c, T, 1.5) for c in cs],
+                [cost(T, c, 2.0, 1.5) for c in cs],
+                clustering_cost(T, cs, 3.0, 2.0),
+                optimal_sections(cs[0], T, 2.0)[1],
+                default_dba_init(T, 3, 2.0),
+                dba(T, init, 2.0),
+            )
+
+        want = run()
+        for cap in (T.m * 6 * 2 * T.n, 1):
+            monkeypatch.setattr(core, "_SWEEP_ELEMENTS", cap)
+            assert run() == want
 
 
 class TestOverflow:
@@ -298,6 +384,28 @@ class TestOverflow:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="overflows float64"):
+                    call()
+
+
+    def test_path_sum_overflow_is_a_domain_error_without_warnings(self):
+        # each p = 2 entry, 1e308, fits float64; every path sums two of them
+        a, b = seq(0.0, 0.0), seq(1e154, 1e154)
+        T = Dataset([a, b])
+        origin = np.zeros((1, 2, 1))
+        for call in (
+            lambda: dtw(a, b, 2.0),
+            lambda: dtw_distances(a, T, 2.0),
+            lambda: cost(T, a, 2.0, 1.0),
+            lambda: optimal_sections(a, T, 2.0),
+            lambda: clustering_cost(T, [b, a], 2.0, 1.0),
+            lambda: cost_rows(T, origin, 2.0, 1.0),
+            lambda: score_candidates(T, origin, 2.0, 1.0),
+            lambda: default_dba_init(T, 2, 2.0),
+            lambda: dba(T, a, 2.0),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="distances raised to p = 2.0 overflows"):
                     call()
 
 

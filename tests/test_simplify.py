@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtwmean import PointSequence, dtw, simplify
+from dtwmean.core import pow_dist_matrix
+from dtwmean.simplify import _anchors, _segments
 
 from conftest import random_sequence, seq
 
@@ -95,3 +97,72 @@ class TestSimplify:
         p = float(rng.choice([1.0, 2.0]))
         costs = [simplify(pi, ell, p).discrete_cost for ell in range(1, 5)]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
+
+
+def reference_segments(powd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment tables filled block start by block start, each start's
+    rows as one subtraction of a broadcast prefix row."""
+    m = len(powd)
+    prefix = np.vstack([np.zeros(m), np.cumsum(powd, axis=0)])
+    seg_val = np.full((m, m), np.inf)
+    seg_arg = np.zeros((m, m), dtype=int)
+    for a in range(m):
+        sums = prefix[a + 1 :] - prefix[a]  # rows b = a..m-1
+        args = np.argmin(sums, axis=1)
+        seg_arg[a, a:] = args
+        seg_val[a, a:] = sums[np.arange(m - a), args]
+    return seg_val, seg_arg
+
+
+def reference_anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
+    """`_anchors` over the block-start segment tables."""
+    m = len(pool)
+    L = min(ell, m)
+    seg_val, seg_arg = reference_segments(pow_dist_matrix(pool, pool, p))
+    D = np.full((m + 1, L + 1), np.inf)
+    split = np.zeros((m + 1, L + 1), dtype=int)
+    D[1:, 1] = seg_val[0, :]
+    for j in range(2, L + 1):
+        cand = D[j - 1 : m, j - 1, None] + seg_val[j - 1 :, j - 1 :]
+        a0 = np.argmin(cand, axis=0)
+        D[j:, j] = cand[a0, np.arange(m - j + 1)]
+        split[j:, j] = j - 1 + a0
+    j_star = 1 + int(np.argmin(D[m, 1:]))
+    anchors: list[int] = []
+    i, j = m, j_star
+    while j >= 1:
+        a = 0 if j == 1 else split[i, j]
+        anchors.append(int(seg_arg[a, i - 1]))
+        i, j = a, j - 1
+    anchors.reverse()
+    return anchors, float(D[m, j_star])
+
+
+def anchor_inputs(rng, d: int):
+    """(m, d) sequences: lengths 1..60 at scales 1e-5..1e5, then
+    integer-rounded ones with repeated vertices and -0.0, so ties occur."""
+    for m, scale in zip((1, 2, 17, 60, 33), (1e5, 1e-5, 1.0, 1e-3, 1e3)):
+        yield np.cumsum(rng.normal(scale=scale, size=(m, d)), axis=0)
+    for m in (5, 24, 40):
+        pool = np.round(rng.normal(scale=1.5, size=(m, d)))
+        pool[m // 2 :] = pool[: m - m // 2]
+        pool[0] = -0.0
+        yield pool
+
+
+class TestSegmentTable:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_the_block_start_reference_bit_for_bit(self, d, p):
+        rng = np.random.default_rng([d, int(2 * p)])
+        for pool in anchor_inputs(rng, d):
+            powd = pow_dist_matrix(pool, pool, p)
+            (val, arg), (want_val, want_arg) = _segments(powd), reference_segments(powd)
+            assert np.array_equal(val.view(np.int64), want_val.view(np.int64))
+            assert np.array_equal(arg, want_arg)
+            for ell in (1, 3, 8):
+                (got, total), (want, want_total) = (
+                    _anchors(pool, ell, p),
+                    reference_anchors(pool, ell, p),
+                )
+                assert got == want and total.hex() == want_total.hex()
