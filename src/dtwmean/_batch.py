@@ -17,8 +17,8 @@ The entry points differ only in how they take the final powers:
 
 All three raise DomainError, without a numpy warning, when a q-th power
 overflows float64; the two that add powers up also raise when a sum does.
-The two that list candidates also raise when a DP path sum of p-th powers
-overflows, although every table entry fits.
+All three also raise, with one message, when a DP path sum of p-th
+powers overflows, although every table entry fits.
 
 Most candidate sets are all sequences of length 1..ell over a table of u
 points.  Row r of such a sequence's DTW grid depends only on its first r
@@ -118,6 +118,8 @@ def score_tuples(
 
     def walk(rows: np.ndarray, D: np.ndarray, L: int, start: int) -> None:
         # fold the end cells of length-L prefixes start.., then extend them
+        if math.isinf(rows[-1].max()):
+            raise path_overflow_error(p)
         end = rows[-1] ** (1.0 / p)
         end **= q
         totals[L - 1][start : start + len(end)] += end

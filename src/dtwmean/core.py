@@ -307,11 +307,12 @@ def _sweep(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float,
             transposed = M < C
             n, width = (M, C) if transposed else (C, M)
             B = nc * nt
-            powd = pow_dist_matrix(a, b, p).reshape(nc, C, nt, M)
             # cell (i, k - i) of the row-major (n, width) grid is row k + i * w
             w = width - 1
             flat = np.ascontiguousarray(
-                powd.transpose((3, 1, 0, 2) if transposed else (1, 3, 0, 2))
+                pow_dist_matrix(a, b, p)
+                .reshape(nc, C, nt, M)
+                .transpose((3, 1, 0, 2) if transposed else (1, 3, 0, 2))
             ).reshape(n * width, B)
             # the grids whose end cell lies on each diagonal, and its columns in S
             reads: dict[int, tuple[list[int], list[int]]] = {}
@@ -345,6 +346,9 @@ def _sweep(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float,
             if math.isinf(ends.max()):
                 raise path_overflow_error(p)
             yield rows, cols, ends.reshape(nc, nt), S if full else None, transposed
+            # free this chunk's tables (cur is a view of S) before the next
+            # chunk allocates its own
+            flat = S = cur = None
 
 
 def _pow_ends(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float) -> np.ndarray:
@@ -356,19 +360,18 @@ def _pow_ends(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: flo
 
 
 def _kept_sweep(c: PointSequence, taus: Sequence[PointSequence], p: float):
-    """p-th-power DTW distances of c to every tau, as an array, from one kept
-    sweep, and a function that backtracks every pair's optimal warping from it."""
-    ends, grids = [], []
-    for _, _, chunk_ends, S, transposed in _sweep([c], taus, p, True):
+    """p-th-power DTW distances of c to every tau, as an array, and every
+    pair's optimal warping, from one kept sweep.  Each chunk is backtracked
+    and dropped as it is yielded, so one chunk's table is held at a time,
+    however many taus there are."""
+    ends, warpings = [], []
+    for _, cols, chunk_ends, S, transposed in _sweep([c], taus, p, True):
         ends.append(chunk_ends[0])
-        grids += [(S[:, :, b], transposed) for b in range(chunk_ends.shape[1])]
-
-    def warpings() -> list[Warping]:
-        return [
-            _backtrack(G, c.complexity, tau.complexity, transposed)
-            for (G, transposed), tau in zip(grids, taus)
+        warpings += [
+            _backtrack(S[:, :, b], c.complexity, tau.complexity, transposed)
+            for b, tau in enumerate(taus[cols])
         ]
-
+        del S
     return np.concatenate(ends), warpings
 
 
@@ -415,7 +418,7 @@ def dtw(sigma, tau, p: float) -> DtwResult:
     (1,1) > (1,0) > (0,1) so the returned warping is deterministic.
     """
     ends, warpings = _kept_sweep(as_sequence(sigma), [as_sequence(tau)], p)
-    return DtwResult(distance=_distances(ends, p)[0], warping=warpings()[0])
+    return DtwResult(distance=_distances(ends, p)[0], warping=warpings[0])
 
 
 def _distances(ends: np.ndarray, p: float) -> list[float]:
@@ -545,7 +548,7 @@ def sections(c, T: Dataset, warpings: Sequence[Warping]) -> list[Section]:
 def optimal_sections(c, T: Dataset, p: float) -> tuple[list[Section], list[Warping]]:
     """Sections of c under the optimal p-warpings :func:`dtw` returns, from one kept sweep."""
     cseq = as_sequence(c)
-    warpings = _kept_sweep(cseq, T.sequences, p)[1]()
+    warpings = _kept_sweep(cseq, T.sequences, p)[1]
     return sections(cseq, T, warpings), warpings
 
 

@@ -10,8 +10,8 @@ approximation guarantee holds either way; the oracle tests exhibit instances
 where the converged cost is strictly worse than optimal.
 
 Each candidate costs one kept sweep (`core._kept_sweep`): its end cells
-give the cost, folded as `cost` folds it, and its grids the warpings of the
-next round, backtracked only if the candidate is accepted.  A run of r
+give the cost, folded as `cost` folds it, and its grids, backtracked chunk
+by chunk during the sweep, the warpings of the next round.  A run of r
 rounds makes 1 + r sweeps.  The initial candidates of `default_dba_init`
 are scored in one ends-only sweep over all n simplifications.
 """
@@ -25,12 +25,12 @@ import numpy as np
 from .core import (
     Dataset,
     PointSequence,
-    Warping,
     _distances,
     _fold,
     _kept_sweep,
     _pow_ends,
     as_sequence,
+    sections,
 )
 from .errors import require
 from .simplify import simplify
@@ -53,22 +53,6 @@ def default_dba_init(T: Dataset, ell: int, p: float) -> PointSequence:
     return starts[costs.index(min(costs))]
 
 
-def _section_means(m: int, T: Dataset, warpings: list[Warping]) -> np.ndarray:
-    """(m, d) coordinate-wise means of the sections of a length-m center.
-
-    The warped pairs are stably sorted by center index, so each section is
-    one contiguous slice holding the rows of ``Section.values()`` in the
-    same order and layout, and its mean has the same bits.
-    """
-    pairs = np.concatenate([np.array(w.pairs) for w in warpings]) - 1
-    starts = np.cumsum([0] + [tau.complexity for tau in T.sequences[:-1]])
-    rows = np.repeat(starts, [len(w) for w in warpings]) + pairs[:, 1]
-    order = np.argsort(pairs[:, 0], kind="stable")
-    values = np.concatenate([tau.vertices for tau in T.sequences])[rows[order]]
-    bounds = np.cumsum(np.bincount(pairs[:, 0], minlength=m))[:-1]
-    return np.array([sec.mean(axis=0) for sec in np.split(values, bounds)])
-
-
 def dba(T: Dataset, init, p: float, max_iters: int = 50) -> DbaResult:
     """Iterated section-mean averaging from `init`, stopping on stagnation."""
     require(max_iters >= 1, "max_iters must be >= 1")
@@ -77,7 +61,9 @@ def dba(T: Dataset, init, p: float, max_iters: int = 50) -> DbaResult:
     current_cost = _fold(_distances(ends, p), p)
     trace = [current_cost]
     for _ in range(max_iters):
-        updated = PointSequence(_section_means(current.complexity, T, warpings()))
+        updated = PointSequence(
+            np.array([sec.values().mean(axis=0) for sec in sections(current, T, warpings)])
+        )
         ends, next_warpings = _kept_sweep(updated, T.sequences, p)
         new_cost = _fold(_distances(ends, p), p)
         if current_cost == 0.0 or current_cost - new_cost < REL_TOL * current_cost:

@@ -352,6 +352,8 @@ class TestNonFinite:
             ["cluster", "--algo", "cand1", "--k", "1", "--beta", "3"],
             ["cluster", "--algo", "cand2", "--k", "1", "--beta", "3"],
             ["mean", "--algo", "dba"],
+            ["mean", "--algo", "sample"],
+            ["oracle", "--algo", "discrete"],
         ],
     )
     def test_overflowing_path_sums_exit_2(self, capsys, tmp_path, argv):

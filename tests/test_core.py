@@ -267,6 +267,23 @@ class TestDistanceGuard:
         assert len(res.warping) == 20000
         assert peak < 64 * 2**20  # a 20000 x 20000 grid would be 3.2 GB
 
+    @pytest.mark.parametrize("call", ["optimal_sections", "dba"])
+    def test_kept_sweeps_hold_one_chunk_at_a_time(self, call):
+        # 60 grids of 200 x 200 in chunks of 6: one chunk's kept table is
+        # 400 x 201 x 6 floats, about 3.9 MB, and all ten together 39 MB
+        rng = np.random.default_rng(7)
+        T = Dataset([rng.uniform(0, 5, size=(200, 1)) for _ in range(60)])
+        c = T.sequences[0]
+        run = {"optimal_sections": lambda: optimal_sections(c, T, 2.0),
+               "dba": lambda: dba(T, c, 2.0, max_iters=1)}[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
 
 def sweep_cases(rng, d: int):
     """(centers, taus) lists: centers shorter and longer than the taus
@@ -400,6 +417,7 @@ class TestOverflow:
             lambda: clustering_cost(T, [b, a], 2.0, 1.0),
             lambda: cost_rows(T, origin, 2.0, 1.0),
             lambda: score_candidates(T, origin, 2.0, 1.0),
+            lambda: score_tuples(T, origin[0], 2, 2.0, 1.0),
             lambda: default_dba_init(T, 2, 2.0),
             lambda: dba(T, a, 2.0),
         ):
