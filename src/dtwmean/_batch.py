@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, path_overflow_error, pow_dist_matrix, q_overflow_error
+from .core import Dataset, _q_powers, path_overflow_error, pow_dist_matrix, q_overflow_error
 
 # cap on elements of one chunk's distance tables and DP rows
 _BLOCK_ELEMENTS = 4_000_000
@@ -76,12 +76,8 @@ def cost_rows(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
     """(K, n) matrix of dtw_p(c, tau)^q for a (K, L, d) candidate array,
     each entry equal to scalar ``dtw(c, tau, p).distance ** q`` bit for bit."""
     out = np.empty((len(cands), T.n))
-    inv_p = 1.0 / p
-    for j, end in enumerate(_listed_ends(T, cands, p).tolist()):
-        try:
-            out[:, j] = [(a**inv_p) ** q for a in end]
-        except OverflowError:
-            raise q_overflow_error(q) from None
+    for j, end in enumerate(_listed_ends(T, cands, p)):
+        out[:, j] = _q_powers(end, p, q)
     return out
 
 

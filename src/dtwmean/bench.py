@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -16,8 +14,6 @@ from .errors import CapacityError, DomainError, DtwMeanError
 from .meanapprox import mean_c, mean_c_d
 from .oracle import exact_mean
 from .refine import med_appr
-
-THREADS_ENV = "DTWMEAN_THREADS"
 
 #: The algorithms `solve` runs, in battery order; only the oracle is exact.
 ALGOS = ("sample", "net", "refine", "dba", "oracle")
@@ -146,21 +142,7 @@ def _oracle_optimum(T: Dataset, p: float, q: float, ell: int) -> dict | None:
         return None
 
 
-def max_workers() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
-
-
-def bench(
-    configs: list[RunConfig],
-    default_dataset: Dataset | None = None,
-    parallel: bool = False,
-) -> dict:
+def bench(configs: list[RunConfig], default_dataset: Dataset | None = None) -> dict:
     """Run every config, attach oracle ratios where feasible, return the report.
 
     Per-run failures are captured into the corresponding row instead of
@@ -182,14 +164,7 @@ def bench(
                 datasets[key] = load_dataset(Path(key))
         return datasets[key]
 
-    def one(cfg: RunConfig) -> dict:
-        return execute_run(dataset_for(cfg), cfg)
-
-    if parallel and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-            rows = list(pool.map(one, configs))
-    else:
-        rows = [one(cfg) for cfg in configs]
+    rows = [execute_run(dataset_for(cfg), cfg) for cfg in configs]
 
     optima: dict[tuple, dict | None] = {}
     for cfg, row in zip(configs, rows):

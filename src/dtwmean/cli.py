@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="comparison battery or explicit run list")
     _add_common(p_bench)
-    p_bench.add_argument("--parallel", action="store_true", help="run entries concurrently")
 
     p_gen = sub.add_parser("gen", help="synthesize a dataset from a base sequence")
     _add_common(p_gen)
@@ -196,7 +195,7 @@ def _cmd_bench(args) -> dict:
         configs, dataset = default_battery(_run_config(args, "sample")), source
     else:
         configs, dataset = [RunConfig.from_dict(entry) for entry in source], None
-    report = bench(configs, default_dataset=dataset, parallel=args.parallel)
+    report = bench(configs, default_dataset=dataset)
     report["command"] = "bench"
     report["config"] = _config_echo(args)
     return report

@@ -37,9 +37,9 @@ from .core import (
     Dataset,
     PointSequence,
     _distances,
+    _fold,
     _pow_ends,
     dedup_rows,
-    q_overflow_error,
 )
 from .errors import CapacityError, DomainError, require
 from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
@@ -85,15 +85,7 @@ def clustering_cost(T: Dataset, centers, p: float, q: float) -> float:
     cs = [c if isinstance(c, PointSequence) else PointSequence(c) for c in centers]
     require(len(cs) >= 1, "need at least one center")
     rows = [_distances(ends, p) for ends in _pow_ends(cs, T.sequences, p)]
-    total = 0.0
-    try:
-        for distances in zip(*rows):
-            total += min(distances) ** q
-    except OverflowError:
-        total = math.inf
-    if math.isinf(total):
-        raise q_overflow_error(q)
-    return total
+    return _fold(map(min, zip(*rows)), q)
 
 
 def cand1_sample_size(

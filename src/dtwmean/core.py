@@ -426,6 +426,15 @@ def _distances(ends: np.ndarray, p: float) -> list[float]:
     return [a ** (1.0 / p) for a in ends.tolist()]
 
 
+def _q_powers(ends: np.ndarray, p: float, q: float) -> list[float]:
+    """dtw_p^q from p-th-power end cells, each bit for bit scalar
+    ``dtw(c, tau, p).distance ** q``; DomainError if one overflows."""
+    try:
+        return [(a ** (1.0 / p)) ** q for a in ends.tolist()]
+    except OverflowError:
+        raise q_overflow_error(q) from None
+
+
 def dtw_distances(c, T: Dataset, p: float) -> list[float]:
     """dtw_p(c, tau) for every tau of T, in order, from one ends-only sweep:
     three rolling diagonals, no backtrack."""

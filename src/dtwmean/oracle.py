@@ -25,7 +25,8 @@ from .core import (
     Dataset,
     PointSequence,
     Warping,
-    dtw_distances,
+    _pow_ends,
+    _q_powers,
     enumerate_warpings,
     optimal_sections,
     warping_count,
@@ -228,7 +229,8 @@ def exact_clustering(
         if key not in center_cache:
             sub = Dataset([T.sequences[i] for i in block])
             c = exact_mean(sub, ell, mode, p, q).mean
-            center_cache[key] = (c, np.array([x**q_eff for x in dtw_distances(c, T, p_eff)]))
+            row = _q_powers(_pow_ends([c], T.sequences, p_eff)[0], p_eff, q_eff)
+            center_cache[key] = (c, np.array(row))
         return center_cache[key]
 
     best_cost = math.inf

@@ -69,7 +69,10 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         corners = mesh * gamma
         nearest = np.clip(center, corners, corners + gamma)
-        dsq = ((center - nearest) ** 2).sum(axis=1)
+        # a squared offset that overflows exceeds r * r, so its inf is
+        # correctly not a hit
+        with np.errstate(over="ignore"):
+            dsq = ((center - nearest) ** 2).sum(axis=1)
         on_lower_faces = (center < corners + gamma).all(axis=1)
         hit = (dsq < r * r) | ((dsq == r * r) & on_lower_faces)
         hits.append(mesh[hit])

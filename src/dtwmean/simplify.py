@@ -14,11 +14,12 @@ form without increasing cost, so the block model loses nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointSequence, as_sequence, pow_dist_matrix
+from .core import PointSequence, as_sequence, path_overflow_error, pow_dist_matrix
 from .errors import require
 
 
@@ -47,10 +48,11 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
     )
 
 
-def _segments(powd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _segments(powd: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(m, m) tables seg_val[a, b] / seg_arg[a, b]: the best anchor cost and
     pool index for the input block a..b (0-based, inclusive), inf / 0 for
-    a > b, from the (input position, pool point) p-th-power table `powd`.
+    a > b, from the (input position, pool point) p-th-power table `powd`;
+    DomainError if a prefix sum of `powd` overflows.
 
     The tables are filled one block length r at a time.  The row of block
     a..a+r-1 is ``prefix[a + r] - prefix[a]``, so all m - r + 1 rows of
@@ -61,7 +63,12 @@ def _segments(powd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = len(powd)
     prefix = np.zeros((m + 1, m))
-    np.cumsum(powd, axis=0, out=prefix[1:])
+    # a prefix sum may overflow although every table entry fits; the terms
+    # are non-negative, so the last prefix row then holds inf
+    with np.errstate(over="ignore"):
+        np.cumsum(powd, axis=0, out=prefix[1:])
+    if math.isinf(prefix[-1].max()):
+        raise path_overflow_error(p)
     seg_val = np.full((m, m), np.inf)
     seg_arg = np.zeros((m, m), dtype=int)
     buf = np.empty((m, m))
@@ -83,7 +90,7 @@ def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
     `_segments`, which fills its tables one block length at a time."""
     m = len(pool)
     L = min(ell, m)
-    seg_val, seg_arg = _segments(pow_dist_matrix(pool, pool, p))
+    seg_val, seg_arg = _segments(pow_dist_matrix(pool, pool, p), p)
 
     # D[i, j]: cheapest cover of the prefix of length i by j anchored blocks
     D = np.full((m + 1, L + 1), np.inf)

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 
 import dtwmean
 from dtwmean.bench import RunConfig
+from dtwmean.cli import build_parser
 
 # The public API.  A name added to or dropped from `dtwmean.__all__` must be
 # added to or dropped from this list too, so API growth shows up in review.
@@ -58,6 +60,21 @@ PUBLIC_FIELDS = {
     ],
 }
 
+# The options of every CLI subcommand, pinned the same way, so a new flag
+# shows up in review too.
+COMMON_OPTIONS = [
+    "--input", "--output", "--format", "--p", "--q", "--ell", "--eps", "--delta", "--seed",
+]
+CLI_OPTIONS = {
+    "dtw": COMMON_OPTIONS,
+    "simplify": COMMON_OPTIONS,
+    "mean": [*COMMON_OPTIONS, "--algo", "--max-iters"],
+    "cluster": [*COMMON_OPTIONS, "--algo", "--k", "--beta"],
+    "oracle": [*COMMON_OPTIONS, "--algo", "--k"],
+    "bench": COMMON_OPTIONS,
+    "gen": [*COMMON_OPTIONS, "--n", "--noise", "--resample"],
+}
+
 
 def test_public_names_are_exactly_the_listed_ones():
     assert sorted(dtwmean.__all__) == PUBLIC_NAMES
@@ -71,3 +88,13 @@ def test_every_public_name_resolves():
 def test_public_types_have_exactly_the_listed_fields():
     for cls, names in PUBLIC_FIELDS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+
+def test_cli_subcommands_have_exactly_the_listed_options():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in sub._actions if a.dest != "help" for s in a.option_strings]
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS

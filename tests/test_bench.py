@@ -6,7 +6,6 @@ from dtwmean.bench import (
     bench,
     default_battery,
     execute_run,
-    max_workers,
     objective_for,
     oracle_mode_for,
     solve,
@@ -79,23 +78,3 @@ class TestBench:
         row = report["runs"][0]
         assert row["ratio"] is None
         assert "no-oracle" in row["flags"]
-
-    def test_parallel_matches_sequential(self, rng, monkeypatch):
-        monkeypatch.setenv("DTWMEAN_THREADS", "2")
-        assert max_workers() == 2
-        T = random_dataset(rng, n=4, max_len=3, min_len=2)
-        configs = default_battery(RunConfig(algo="sample", p=1.0, seed=5))
-        seq_report = bench(configs, T, parallel=False)
-        par_report = bench(configs, T, parallel=True)
-
-        def strip(rows):
-            return [
-                {k: v for k, v in r.items() if k != "runtime_ms"} for r in rows
-            ]
-
-        assert strip(seq_report["runs"]) == strip(par_report["runs"])
-
-    def test_threads_env_validation(self, monkeypatch):
-        monkeypatch.setenv("DTWMEAN_THREADS", "soup")
-        with pytest.raises(DomainError):
-            max_workers()

@@ -263,6 +263,9 @@ HUGE_CUBES = {"dimension": 1, "sequences": [[[1e103], [-1e103]], [[3e103]], [[-2
 # each p = 2 table entry, 1e308, fits float64; a path sum of two does not
 HUGE_PATH_SUMS = {"dimension": 1, "sequences": [[[0.0], [0.0]], [[1e154], [1e154]]]}
 
+# at p = 2 a prefix sum of squares along one sequence, 2e308, overflows
+HUGE_PREFIX = {"dimension": 1, "sequences": [[[0.0], [1e154], [1e154]], [[1e154], [0.0]]]}
+
 TINY_SPACING = {
     "dimension": 2,
     "sequences": [
@@ -430,8 +433,8 @@ class TestExitCodeMatrix:
     @pytest.mark.parametrize("p", ["1", "2"])
     @pytest.mark.parametrize(
         "data",
-        [HUGE_SECTIONS, TINY_SPACING, SINGLE_VERTEX, DUPLICATED],
-        ids=["huge", "tiny", "single-vertex", "duplicated"],
+        [HUGE_SECTIONS, HUGE_PREFIX, TINY_SPACING, SINGLE_VERTEX, DUPLICATED],
+        ids=["huge", "huge-prefix", "tiny", "single-vertex", "duplicated"],
     )
     @pytest.mark.parametrize(
         "argv",

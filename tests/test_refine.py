@@ -60,6 +60,15 @@ class TestGridCover:
             cover = grid_cover(BallUnion(centers=centers, radius=r), gamma)
             assert cover.tobytes() == want.tobytes()
 
+    def test_overflowing_offset_is_no_hit(self):
+        # r * r fits float64, but the squared offset of cell [r, 2r)^2,
+        # 2 r^2, does not; the cells at 1, -1 and -1, 1 only touch the ball
+        # outside their half-open boxes
+        r = 1.3e154
+        cover = grid_cover(BallUnion(centers=np.zeros((1, 2)), radius=r), r)
+        hit = [(-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+        assert cover.tolist() == [[i * r, j * r] for i, j in hit]
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DomainError):
             grid_cover(BallUnion(centers=np.array([[1.0]]), radius=1.0), 0.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtwmean import PointSequence, dtw, simplify
+from dtwmean import DomainError, PointSequence, dtw, simplify
 from dtwmean.core import pow_dist_matrix
 from dtwmean.simplify import _anchors, _segments
 
@@ -157,7 +157,7 @@ class TestSegmentTable:
         rng = np.random.default_rng([d, int(2 * p)])
         for pool in anchor_inputs(rng, d):
             powd = pow_dist_matrix(pool, pool, p)
-            (val, arg), (want_val, want_arg) = _segments(powd), reference_segments(powd)
+            (val, arg), (want_val, want_arg) = _segments(powd, p), reference_segments(powd)
             assert np.array_equal(val.view(np.int64), want_val.view(np.int64))
             assert np.array_equal(arg, want_arg)
             for ell in (1, 3, 8):
@@ -166,3 +166,8 @@ class TestSegmentTable:
                     reference_anchors(pool, ell, p),
                 )
                 assert got == want and total.hex() == want_total.hex()
+
+    def test_overflowing_prefix_sum_raises(self):
+        # each p = 2 entry, at most 1e308, fits float64; the prefix sum of two does not
+        with pytest.raises(DomainError, match="sum of distances raised to p = 2"):
+            simplify(seq(0.0, 1e154, 1e154), 1, 2)
