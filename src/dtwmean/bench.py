@@ -166,7 +166,13 @@ def bench(configs: list[RunConfig], default_dataset: Dataset | None = None) -> d
 
     rows = [execute_run(dataset_for(cfg), cfg) for cfg in configs]
 
+    # an oracle row of inferred mode has already solved the optimum of its
+    # objective (None past its guard); an invalid one is solved again to raise
     optima: dict[tuple, dict | None] = {}
+    for cfg, row in zip(configs, rows):
+        if cfg.algo == "oracle" and cfg.mode is None and "invalid" not in row["flags"]:
+            obj = row["objective"]
+            optima[(cfg.input, obj["p"], obj["q"], cfg.ell)] = row.get("result")
     for cfg, row in zip(configs, rows):
         if "result" not in row or cfg.algo == "oracle":
             if cfg.algo == "oracle" and "result" in row:

@@ -32,16 +32,27 @@ EXIT_CAPACITY = 3
 EXIT_IO = 4
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="dataset file (json or csv)")
-    sub.add_argument("--output", help="report path; stdout when omitted")
-    sub.add_argument("--format", choices=FORMATS, help="override format inference")
-    sub.add_argument("--p", type=float, default=1.0, help="distance exponent (default 1)")
-    sub.add_argument("--q", type=float, default=None, help="cost exponent (default: p)")
-    sub.add_argument("--ell", type=int, default=2, help="mean complexity budget")
-    sub.add_argument("--eps", type=float, default=1.0, help="approximation slack")
-    sub.add_argument("--delta", type=float, default=0.1, help="failure probability")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+#: Type, default and help of the options that only some commands read.
+OPTIONS = {
+    "p": (float, 1.0, "distance exponent (default 1)"),
+    "q": (float, None, "cost exponent (default: p)"),
+    "ell": (int, 2, "mean complexity budget"),
+    "eps": (float, 1.0, "approximation slack"),
+    "delta": (float, 0.1, "failure probability"),
+    "seed": (int, 0, "RNG seed"),
+}
+
+
+def _command(sub, name: str, summary: str, *options: str) -> argparse.ArgumentParser:
+    """A subcommand with the I/O options and the named `OPTIONS`, in that order."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--input", required=True, help="dataset file (json or csv)")
+    cmd.add_argument("--output", help="report path; stdout when omitted")
+    cmd.add_argument("--format", choices=FORMATS, help="override format inference")
+    for opt in options:
+        kind, default, text = OPTIONS[opt]
+        cmd.add_argument(f"--{opt}", type=kind, default=default, help=text)
+    return cmd
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,15 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted-complexity means and clusterings under p-DTW",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "dtw", "distance between the first two sequences", "p")
+    _command(sub, "simplify", "simplify every sequence to <= ell vertices", "p", "ell")
 
-    p_dtw = sub.add_parser("dtw", help="distance between the first two sequences")
-    _add_common(p_dtw)
-
-    p_simp = sub.add_parser("simplify", help="simplify every sequence to <= ell vertices")
-    _add_common(p_simp)
-
-    p_mean = sub.add_parser("mean", help="approximate restricted mean")
-    _add_common(p_mean)
+    p_mean = _command(
+        sub, "mean", "approximate restricted mean", "p", "ell", "eps", "delta", "seed"
+    )
     p_mean.add_argument(
         "--algo",
         choices=ALGOS[:-1],  # the oracle has a command of its own
@@ -68,14 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mean.add_argument("--max-iters", type=int, default=50, help="dba iteration cap")
 
-    p_cluster = sub.add_parser("cluster", help="(k, ell, p, q)-clustering")
-    _add_common(p_cluster)
+    p_cluster = _command(sub, "cluster", "(k, ell, p, q)-clustering", *OPTIONS)
     p_cluster.add_argument("--algo", choices=("cand1", "cand2"), default="cand1")
     p_cluster.add_argument("--k", type=int, required=True)
     p_cluster.add_argument("--beta", type=float, required=True)
 
-    p_oracle = sub.add_parser("oracle", help="exact desk-scale reference solution")
-    _add_common(p_oracle)
+    p_oracle = _command(sub, "oracle", "exact desk-scale reference solution", "p", "q", "ell")
     p_oracle.add_argument(
         "--algo",
         choices=MODES,
@@ -84,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--k", type=int, default=None, help="cluster instead of mean")
 
-    p_bench = sub.add_parser("bench", help="comparison battery or explicit run list")
-    _add_common(p_bench)
+    _command(sub, "bench", "comparison battery or explicit run list", *OPTIONS)
 
-    p_gen = sub.add_parser("gen", help="synthesize a dataset from a base sequence")
-    _add_common(p_gen)
+    p_gen = _command(sub, "gen", "synthesize a dataset from a base sequence", "seed")
     p_gen.add_argument("--n", type=int, default=8, help="number of sequences")
     p_gen.add_argument("--noise", type=float, default=0.1, help="uniform noise half-width")
     p_gen.add_argument(
@@ -123,7 +127,6 @@ def _run_command(args) -> dict:
     if args.command == "gen":
         return _cmd_gen(args)
     T = load_dataset(args.input, args.format)
-    q = _effective_q(args)
     start = time.perf_counter()
     if args.command == "dtw":
         if T.n < 2:
@@ -146,7 +149,7 @@ def _run_command(args) -> dict:
     elif args.command == "cluster":
         params = ClusteringParams(
             k=args.k, beta=args.beta, delta=args.delta,
-            p=args.p, q=q, ell=args.ell, eps=args.eps,
+            p=args.p, q=_effective_q(args), ell=args.ell, eps=args.eps,
         )
         res = k_clustering(T, params, generator=args.algo, seed=args.seed)
         body = {
@@ -156,6 +159,7 @@ def _run_command(args) -> dict:
             }
         }
     elif args.command == "oracle" and args.k is not None:
+        q = _effective_q(args)
         mode = args.algo or oracle_mode_for(args.p, q, T.dimension)
         centers, total = exact_clustering(T, args.k, args.ell, mode, args.p, q)
         body = {
@@ -183,10 +187,9 @@ def _config_echo(args) -> dict:
 
 
 def _run_config(args, algo: str, **fields) -> RunConfig:
-    return RunConfig(
-        algo=algo, p=args.p, q=args.q, ell=args.ell, eps=args.eps,
-        delta=args.delta, seed=args.seed, **fields,
-    )
+    # RunConfig's defaults fill the options this command does not take
+    given = {name: getattr(args, name) for name in OPTIONS if hasattr(args, name)}
+    return RunConfig(algo=algo, **given, **fields)
 
 
 def _cmd_bench(args) -> dict:

@@ -210,7 +210,7 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 
     Raises CapacityError, before allocating anything, when
     len(a) * len(b) * d exceeds DISTANCE_GUARD, and DomainError when an
-    entry overflows float64 to inf.
+    entry, or a squared difference that it is built from, overflows float64.
     """
     m1, m2, d = len(a), len(b), a.shape[1]
     _check_guard(m1, m2, d)
@@ -230,7 +230,8 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
         powd **= p
     if math.isinf(powd.max()):
         raise DomainError(
-            f"a distance raised to p = {p} overflows float64; rescale the coordinates"
+            f"a squared coordinate difference or a distance raised to p = {p} "
+            "overflows float64; rescale the coordinates"
         )
     return powd
 

@@ -56,6 +56,11 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
     """
     require(gamma > 0, "grid cell width must be positive")
     r = ball_union.radius
+    # past about 1.34e154 every squared offset would test below r * r = inf
+    require(
+        math.isfinite(float(r) * float(r)),
+        f"the grid cover radius {r!r} squared overflows float64; rescale the coordinates",
+    )
     d = ball_union.centers.shape[1]
     hits = []
     budget = CELL_GUARD

@@ -62,17 +62,16 @@ PUBLIC_FIELDS = {
 
 # The options of every CLI subcommand, pinned the same way, so a new flag
 # shows up in review too.
-COMMON_OPTIONS = [
-    "--input", "--output", "--format", "--p", "--q", "--ell", "--eps", "--delta", "--seed",
-]
+IO_OPTIONS = ["--input", "--output", "--format"]
+ALL_OPTIONS = [*IO_OPTIONS, "--p", "--q", "--ell", "--eps", "--delta", "--seed"]
 CLI_OPTIONS = {
-    "dtw": COMMON_OPTIONS,
-    "simplify": COMMON_OPTIONS,
-    "mean": [*COMMON_OPTIONS, "--algo", "--max-iters"],
-    "cluster": [*COMMON_OPTIONS, "--algo", "--k", "--beta"],
-    "oracle": [*COMMON_OPTIONS, "--algo", "--k"],
-    "bench": COMMON_OPTIONS,
-    "gen": [*COMMON_OPTIONS, "--n", "--noise", "--resample"],
+    "dtw": [*IO_OPTIONS, "--p"],
+    "simplify": [*IO_OPTIONS, "--p", "--ell"],
+    "mean": [*IO_OPTIONS, "--p", "--ell", "--eps", "--delta", "--seed", "--algo", "--max-iters"],
+    "cluster": [*ALL_OPTIONS, "--algo", "--k", "--beta"],
+    "oracle": [*IO_OPTIONS, "--p", "--q", "--ell", "--algo", "--k"],
+    "bench": ALL_OPTIONS,
+    "gen": [*IO_OPTIONS, "--seed", "--n", "--noise", "--resample"],
 }
 
 

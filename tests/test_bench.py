@@ -1,5 +1,6 @@
 import pytest
 
+import dtwmean.bench as bench_module
 from dtwmean import Dataset, DomainError
 from dtwmean.bench import (
     RunConfig,
@@ -78,3 +79,28 @@ class TestBench:
         row = report["runs"][0]
         assert row["ratio"] is None
         assert "no-oracle" in row["flags"]
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls, exact_mean = [], bench_module.exact_mean
+
+        def counted(*args):
+            calls.append(args)
+            return exact_mean(*args)
+
+        monkeypatch.setattr(bench_module, "exact_mean", counted)
+        return calls
+
+    def test_oracle_row_supplies_the_battery_optimum(self, rng, oracle_calls):
+        # at p = 1 on d = 1 data every row's objective is the oracle row's
+        T = random_dataset(rng, n=4, max_len=3, min_len=2)
+        report = bench(default_battery(RunConfig(algo="sample", p=1.0, seed=3)), T)
+        assert len(oracle_calls) == 1
+        assert all(row["ratio"] is not None for row in report["runs"])
+
+    def test_guarded_oracle_row_supplies_no_optimum(self, rng, oracle_calls):
+        T = random_dataset(rng, n=6, max_len=10, min_len=10)
+        configs = [RunConfig(algo="dba", p=1.0, ell=3), RunConfig(algo="oracle", p=1.0, ell=3)]
+        report = bench(configs, T)
+        assert len(oracle_calls) == 1
+        assert [row["flags"] for row in report["runs"]] == [["no-oracle"], ["capacity"]]

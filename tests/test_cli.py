@@ -130,6 +130,26 @@ class TestCommands:
         assert code == 0 and rep["runs"] == []
 
 
+# flags that a command does not read, and so does not take
+REMOVED_FLAGS = [
+    *(("dtw", flag) for flag in ("--q", "--ell", "--eps", "--delta", "--seed")),
+    *(("simplify", flag) for flag in ("--q", "--eps", "--delta", "--seed")),
+    ("mean", "--q"),
+    *(("oracle", flag) for flag in ("--eps", "--delta", "--seed")),
+    *(("gen", flag) for flag in ("--p", "--q", "--ell", "--eps", "--delta")),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag", REMOVED_FLAGS, ids=[" ".join(pair) for pair in REMOVED_FLAGS]
+)
+def test_unread_flag_is_rejected(capsys, dataset_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", dataset_path, flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -397,6 +417,14 @@ class TestNonFinite:
         for row in rep["runs"]:
             assert "result" in row or row["flags"] == ["invalid"]
         assert rep["runs"][0]["error"] == "2^(p - 1) overflows a float at p = 1025.0"
+
+    def test_overflowing_square_at_p_1_names_it(self, capsys, tmp_path):
+        # the distance, 2e154, fits float64; its square does not
+        path = _write(tmp_path, {"dimension": 1, "sequences": [[[0.0]], [[2e154]]]})
+        assert main(["dtw", "--input", path, "--p", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "squared coordinate difference" in err
+        assert "overflows float64" in err
 
     def test_non_finite_report_is_a_validation_error(self, capsys, monkeypatch, dataset_path):
         monkeypatch.setattr(cli, "_run_command", lambda args: {"result": {"cost": math.nan}})

@@ -13,6 +13,8 @@ dispatcher; any refactor of the CLI must reproduce it exactly.
 Re-record (on purpose only) with:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
+
+which prints the id of every case whose entry differs from the committed file.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
 DATASETS = ("d1.json", "d2.json")
 PS = ("1", "2", "1.5")
-COMMON = ["--ell", "2", "--eps", "1", "--delta", "0.3", "--seed", "3"]
+COMMON = {"--ell": "2", "--eps": "1", "--delta": "0.3", "--seed": "3"}
+# the flags of --p and COMMON that a command takes, where it takes only some
+TAKES = {"dtw": {"--p"}, "simplify": {"--p", "--ell"}, "oracle": {"--p", "--ell"},
+         "gen": {"--seed"}}
 
 
 def golden_datasets() -> dict[str, str]:
@@ -73,7 +78,7 @@ def cases() -> list[tuple[str, list[str]]]:
     for data in DATASETS:
         tag = data.removesuffix(".json")
         for p in PS:
-            common = ["--input", data, "--p", p, *COMMON]
+            flags = {"--p": p, **COMMON}
             grid = [
                 ("dtw", ["dtw"]),
                 ("simplify", ["simplify"]),
@@ -87,7 +92,9 @@ def cases() -> list[tuple[str, list[str]]]:
                 ("gen", ["gen", "--output", f"gen-{tag}-p{p}.json", "--n", "3", "--noise", "0.2"]),
             ]
             for name, head in grid:
-                out.append((f"{tag}-p{p}-{name}", [*head, *common]))
+                keep = TAKES.get(head[0], flags)
+                taken = [s for flag in flags if flag in keep for s in (flag, flags[flag])]
+                out.append((f"{tag}-p{p}-{name}", [*head, "--input", data, *taken]))
             runs = f"runs-{tag}-p{p}.json"
             out.append((f"{tag}-p{p}-bench-runs", ["bench", "--input", runs, "--p", p]))
         out += [
@@ -130,6 +137,16 @@ def outcome(argv: list[str]) -> dict:
     return {"exit": 0, "report": json.dumps(_strip_runtime(json.loads(out.getvalue())))}
 
 
+def changed_ids(old: dict, new: dict) -> list[str]:
+    """Ids of the cases of `new` that differ from, or are missing in, `old`,
+    then those of `old` that `new` dropped."""
+    before = {c["id"]: c for c in old["cases"]}
+    ids = {c["id"] for c in new["cases"]}
+    return [c["id"] for c in new["cases"] if before.get(c["id"]) != c] + [
+        cid for cid in before if cid not in ids
+    ]
+
+
 def record() -> dict:
     datasets = golden_datasets()
     cwd = os.getcwd()
@@ -155,6 +172,13 @@ def workdir(golden, tmp_path, monkeypatch):
     return tmp_path
 
 
+def test_changed_ids_name_changed_added_and_dropped_cases():
+    old = {"cases": [{"id": "a", "exit": 0}, {"id": "b", "exit": 0}, {"id": "c", "exit": 2}]}
+    new = {"cases": [{"id": "a", "exit": 0}, {"id": "b", "exit": 3}, {"id": "d", "exit": 0}]}
+    assert changed_ids(old, new) == ["b", "d", "c"]
+    assert changed_ids(new, new) == []
+
+
 def test_golden_case_list_is_complete(golden):
     assert [(c["id"], c["argv"]) for c in golden["cases"]] == [
         (cid, argv) for cid, argv in cases()
@@ -173,6 +197,11 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
     rec = record()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"datasets": {}, "cases": []}
+    if old["datasets"] != rec["datasets"]:
+        print("datasets changed")
+    changed = changed_ids(old, rec)
+    print(*changed, f"{len(changed)} of {len(rec['cases'])} cases changed", sep="\n")
     lines = ",\n".join(json.dumps(c) for c in rec["cases"])
     GOLDEN.write_text(
         '{"datasets": ' + json.dumps(rec["datasets"]) + ',\n"cases": [\n' + lines + "\n]}\n"

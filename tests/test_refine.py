@@ -69,6 +69,11 @@ class TestGridCover:
         hit = [(-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
         assert cover.tolist() == [[i * r, j * r] for i, j in hit]
 
+    def test_overflowing_squared_radius_is_rejected(self):
+        # with r * r = inf every cell of the bounding box would count as a hit
+        with pytest.raises(DomainError, match="rescale the coordinates"):
+            grid_cover(BallUnion(centers=np.zeros((1, 2)), radius=1.35e154), 1e154)
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DomainError):
             grid_cover(BallUnion(centers=np.array([[1.0]]), radius=1.0), 0.0)
