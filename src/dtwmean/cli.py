@@ -90,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--k", type=int, default=None, help="cluster instead of mean")
 
-    _command(sub, "bench", "comparison battery or explicit run list", *OPTIONS)
+    p_bench = _command(sub, "bench", "comparison battery or explicit run list", *OPTIONS)
+    # a run list names its own fields, so _cmd_bench fills the defaults only
+    # for a dataset and refuses any option given with a run list
+    p_bench.set_defaults(**dict.fromkeys(OPTIONS))
 
     p_gen = _command(sub, "gen", "synthesize a dataset from a base sequence", "seed")
     p_gen.add_argument("--n", type=int, default=8, help="number of sequences")
@@ -195,8 +198,16 @@ def _run_config(args, algo: str, **fields) -> RunConfig:
 def _cmd_bench(args) -> dict:
     source = load_input(args.input, args.format)
     if isinstance(source, Dataset):
+        for opt, (_, default, _) in OPTIONS.items():
+            if getattr(args, opt) is None:
+                setattr(args, opt, default)
         configs, dataset = default_battery(_run_config(args, "sample")), source
     else:
+        given = [f"--{opt}" for opt in OPTIONS if getattr(args, opt) is not None]
+        if given:
+            raise DomainError(
+                f"{', '.join(given)} cannot be given with a run list; each run names its own fields"
+            )
         configs, dataset = [RunConfig.from_dict(entry) for entry in source], None
     report = bench(configs, default_dataset=dataset)
     report["command"] = "bench"

@@ -256,23 +256,21 @@ def _sweep(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float,
     """Accumulated p-th-power DTW grids of every center in cs against every
     tau, stacked and filled in chunks.
 
-    Yields ``(rows, cols, ends, S, transposed)`` per chunk: the chunk covers
-    the centers ``cs[rows]`` against the taus ``taus[cols]``, and ``ends`` is
-    their (centers, taus) array of grid end cells, the p-th-power DTW
-    distances.  A chunk stacks its B grids center-major, each center and
-    each tau padded to the chunk's longest, C and M, by repeating its last
-    vertex; a padded cell never feeds the cell (m1, m2) of its grid, nor any
-    cell a backtrack from there reads.  The stack is filled one
-    anti-diagonal at a time: every cell takes its p-th-power distance plus
-    the min of its (diag, up, left) neighbours, the same add and min as the
-    row-by-row recursion, so every value is the same.  Diagonals are
-    indexed along the shorter side n of the grids (over the centers, or over
-    the taus when ``transposed``).  With `full`, S keeps every diagonal and
-    has shape (C + M, n + 1, B): cell (i, j), with i over the center and j
-    over the tau, of grid b is ``S[i + j + 1, (j if transposed else i) + 1, b]``,
-    and every entry off a grid is inf.  Otherwise only three rolling
-    diagonals are kept, each grid's end cell is read as its diagonal passes,
-    and S is None.
+    Yields ``(rows, cols, ends, G)`` per chunk: the chunk covers the centers
+    ``cs[rows]`` against the taus ``taus[cols]``, and ``ends`` is their
+    (centers, taus) array of grid end cells, the p-th-power DTW distances.
+    A chunk stacks its B grids center-major, each center and each tau padded
+    to the chunk's longest, C and M, by repeating its last vertex; a padded
+    cell never feeds the cell (m1, m2) of its grid, nor any cell a backtrack
+    from there reads.  The stack is filled one anti-diagonal at a time, in
+    three rolling diagonals indexed along the centers: every cell takes its
+    p-th-power distance plus the min of its (diag, up, left) neighbours, the
+    same add and min as the row-by-row recursion, so every value is the
+    same.  Each grid's end cell is read as its diagonal passes.  With
+    `full`, each finished diagonal is also written back over its distances
+    in the chunk's (C, M, B) distance table, and G is that table: cell
+    (i, j), with i over the center and j over the tau, of grid b is
+    ``G[i, j, b]``.  Otherwise G is None.
 
     A chunk holds whole center rows (every tau) while its distance table
     stays within `_SWEEP_ELEMENTS` (and DISTANCE_GUARD) elements, else one
@@ -305,57 +303,57 @@ def _sweep(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float,
             M = max(tlen[cols])
             b = _padded(taus[cols], M)
             nc, nt = len(a) // C, len(b) // M
-            transposed = M < C
-            n, width = (M, C) if transposed else (C, M)
             B = nc * nt
-            # cell (i, k - i) of the row-major (n, width) grid is row k + i * w
-            w = width - 1
+            # cell (i, k - i) of the row-major (C, M) grid is row k + i * w;
+            # a one-column grid has one cell per diagonal, so any step will do
+            w = M - 1
+            step = max(w, 1)
             flat = np.ascontiguousarray(
-                pow_dist_matrix(a, b, p)
-                .reshape(nc, C, nt, M)
-                .transpose((3, 1, 0, 2) if transposed else (1, 3, 0, 2))
-            ).reshape(n * width, B)
-            # the grids whose end cell lies on each diagonal, and its columns in S
+                pow_dist_matrix(a, b, p).reshape(nc, C, nt, M).transpose(1, 3, 0, 2)
+            ).reshape(C * M, B)
+            # the grids whose end cell lies on each diagonal, and its row in S
             reads: dict[int, tuple[list[int], list[int]]] = {}
             for g, (m1, m2) in enumerate(product(clen[rows], tlen[cols])):
                 grids, at = reads.setdefault(m1 + m2 - 2, ([], []))
                 grids.append(g)
-                at.append(m2 if transposed else m1)
-            diagonals = n + width - 1
-            # diagonal k is row (k + 1) % depth of S; row 0 starts as the inf
-            # diagonal -1.  Three rows suffice: a row reused for diagonal k
-            # keeps stale cells of diagonal k - 3 only below k's range, which
-            # no later diagonal reads, and never-written inf cells above it
-            depth = diagonals + 1 if full else 3
-            S = np.full((depth, n + 1, B), np.inf)
+                at.append(m1)
+            # diagonal k is row (k + 1) % 3 of S, cell (i, k - i) at S[., i + 1];
+            # row 0 starts as the inf diagonal -1.  Three rows suffice: a row
+            # reused for diagonal k keeps stale cells of diagonal k - 3 only
+            # below k's range, which no later diagonal reads, and never-written
+            # inf cells above it
+            S = np.full((3, C + 1, B), np.inf)
             S[1, 1] = flat[0]
             ends = np.empty(B)
             if 0 in reads:
                 grids, at = reads[0]
                 ends[grids] = S[1, at, grids]
             with np.errstate(over="ignore"):
-                for k in range(1, diagonals):
-                    lo, hi = max(0, k - w), min(k, n - 1)
-                    r0, r1, r2 = (k - 1) % depth, k % depth, (k + 1) % depth
+                for k in range(1, C + w):
+                    lo, hi = max(0, k - w), min(k, C - 1)
+                    r0, r1, r2 = (k - 1) % 3, k % 3, (k + 1) % 3
                     cur = S[r2, lo + 1 : hi + 2]
+                    dist = flat[k + lo * w : k + hi * w + 1 : step]
                     np.minimum(S[r0, lo : hi + 1], S[r1, lo : hi + 1], out=cur)
                     np.minimum(cur, S[r1, lo + 1 : hi + 2], out=cur)
-                    np.add(cur, flat[k + lo * w : k + hi * w + 1 : w], out=cur)
+                    np.add(cur, dist, out=cur)
+                    if full:
+                        dist[...] = cur
                     if k in reads:
                         grids, at = reads[k]
                         ends[grids] = S[r2, at, grids]
             if math.isinf(ends.max()):
                 raise path_overflow_error(p)
-            yield rows, cols, ends.reshape(nc, nt), S if full else None, transposed
-            # free this chunk's tables (cur is a view of S) before the next
-            # chunk allocates its own
-            flat = S = cur = None
+            yield rows, cols, ends.reshape(nc, nt), flat.reshape(C, M, B) if full else None
+            # free this chunk's tables (cur and dist are views) before the
+            # next chunk allocates its own
+            flat = S = cur = dist = None
 
 
 def _pow_ends(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float) -> np.ndarray:
     """(len(cs), len(taus)) p-th-power DTW distances, from ends-only sweeps."""
     out = np.empty((len(cs), len(taus)))
-    for rows, cols, ends, _, _ in _sweep(cs, taus, p, False):
+    for rows, cols, ends, _ in _sweep(cs, taus, p, False):
         out[rows, cols] = ends
     return out
 
@@ -363,26 +361,26 @@ def _pow_ends(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: flo
 def _kept_sweep(c: PointSequence, taus: Sequence[PointSequence], p: float):
     """p-th-power DTW distances of c to every tau, as an array, and every
     pair's optimal warping, from one kept sweep.  Each chunk is backtracked
-    and dropped as it is yielded, so one chunk's table is held at a time,
-    however many taus there are."""
+    and dropped as it is yielded, so one chunk's distance table, which the
+    sweep overwrites with the accumulated grids, is held at a time, however
+    many taus there are."""
     ends, warpings = [], []
-    for _, cols, chunk_ends, S, transposed in _sweep([c], taus, p, True):
+    for _, cols, chunk_ends, G in _sweep([c], taus, p, True):
         ends.append(chunk_ends[0])
         warpings += [
-            _backtrack(S[:, :, b], c.complexity, tau.complexity, transposed)
+            _backtrack(G[:, :, b], c.complexity, tau.complexity)
             for b, tau in enumerate(taus[cols])
         ]
-        del S
+        del G
     return np.concatenate(ends), warpings
 
 
-def _backtrack(G: np.ndarray, m1: int, m2: int, transposed: bool) -> Warping:
-    """The warping ending at (m1, m2) of one grid ``G = S[:, :, b]`` of a full sweep.
+def _backtrack(G: np.ndarray, m1: int, m2: int) -> Warping:
+    """The warping ending at (m1, m2) of one accumulated grid ``G[i, j]`` of
+    a kept sweep.
 
     Ties prefer the diagonal step, then advancing in sigma, then in tau.
     """
-    # column offsets of the up (i - 1, j) and left (i, j - 1) neighbours
-    du, dl = (0, 1) if transposed else (1, 0)
     i, j = m1 - 1, m2 - 1
     rev = [(m1, m2)]
     while i > 0 or j > 0:
@@ -391,9 +389,7 @@ def _backtrack(G: np.ndarray, m1: int, m2: int, transposed: bool) -> Warping:
         elif j == 0:
             i -= 1
         else:
-            k = i + j
-            col = (j if transposed else i) + 1
-            diag, up, left = G[k - 1, col - 1], G[k, col - du], G[k, col - dl]
+            diag, up, left = G[i - 1, j - 1], G[i - 1, j], G[i, j - 1]
             best = min(diag, up, left)
             if diag == best:
                 i -= 1
@@ -414,7 +410,8 @@ def dtw(sigma, tau, p: float) -> DtwResult:
     distances, filled one anti-diagonal at a time with numpy: each cell
     adds its distance to the min of its (diag, up, left) neighbours, the
     same operations as the row-by-row recursion, so the distance is the
-    same to the last bit.  Memory is O(m1*m2) however unequal the lengths.
+    same to the last bit.  The accumulated grid overwrites the distance
+    matrix, so the sweep holds one m1 x m2 table and three diagonals.
     Backtracking ties are broken by the fixed step preference
     (1,1) > (1,0) > (0,1) so the returned warping is deterministic.
     """

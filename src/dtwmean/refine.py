@@ -52,7 +52,9 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
 
     Cells are the half-open boxes [g, g + gamma)^d; a cell is kept when it
     contains a point of some ball.  Points are returned sorted by lattice
-    index, deduplicated across balls.
+    index, deduplicated across balls.  Raises CapacityError when the balls'
+    bounding boxes hold more than CELL_GUARD cells in all, and DomainError
+    when a lattice index does not fit int64.
     """
     require(gamma > 0, "grid cell width must be positive")
     r = ball_union.radius
@@ -65,9 +67,14 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
     hits = []
     budget = CELL_GUARD
     for center in ball_union.centers:
-        lo = np.floor((center - r) / gamma).astype(int)
-        hi = np.floor((center + r) / gamma).astype(int)
-        budget -= int(np.prod(hi - lo + 1))
+        lo, hi = np.floor(np.stack([center - r, center + r]) / gamma)
+        # every index up to hi + 1 must fit int64 (an inf one never does)
+        require(
+            bool((lo >= -(2.0**63)).all() and (hi < 2.0**63).all()),
+            "grid cover lattice indices do not fit int64; translate or rescale the coordinates",
+        )
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        budget -= math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist()))
         if budget < 0:
             raise CapacityError(f"grid cover would visit more than {CELL_GUARD} cells")
         axes = [np.arange(lo[j], hi[j] + 1) for j in range(d)]
@@ -81,7 +88,16 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         on_lower_faces = (center < corners + gamma).all(axis=1)
         hit = (dsq < r * r) | ((dsq == r * r) & on_lower_faces)
         hits.append(mesh[hit])
-    return np.unique(np.concatenate(hits), axis=0) * gamma
+    return _sorted_unique_rows(np.concatenate(hits)) * gamma
+
+
+def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int array in lexicographic order, as
+    ``np.unique(rows, axis=0)`` returns them, from one lexsort."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _inscribed_cell_lower_bound(ball_union: BallUnion, gamma: float) -> int:

@@ -123,6 +123,7 @@ class TestCommands:
         ]}))
         code, rep = run_cli(capsys, "bench", "--input", str(batch))
         assert code == 0 and len(rep["runs"]) == 1
+        assert rep["config"] == {"input": str(batch)}
 
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"runs": []}))
@@ -174,6 +175,15 @@ class TestExitCodes:
         path.write_text(json.dumps({"runs": [run]}).replace('"inf"', "Infinity"))
         assert main(["bench", "--input", str(path)]) == 2
         assert "run config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--ell", "--eps", "--delta", "--seed"])
+    def test_bench_run_list_takes_no_option(self, capsys, tmp_path, dataset_path, flag):
+        # every run names its own fields, so an option would be ignored
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"runs": [{"algo": "sample", "input": dataset_path}]}))
+        assert main(["bench", "--input", str(path), flag, "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} cannot be given with a run list" in err
 
     @pytest.mark.parametrize("entry", [{"k": 3}, {"beta": 5.0}])
     def test_bench_rejects_clustering_fields(self, capsys, tmp_path, dataset_path, entry):

@@ -32,7 +32,7 @@ from dtwmean.core import dedup_rows, dtw_distances, pow_dist_matrix, warping_pow
 from dtwmean.errors import CapacityError
 
 from conftest import random_dataset, random_sequence, seq
-from test_golden_distance import reference_dtw
+from test_golden_distance import reference_dtw, reference_grid
 
 
 def brute_dtw(a: PointSequence, b: PointSequence, p: float) -> float:
@@ -267,10 +267,22 @@ class TestDistanceGuard:
         assert len(res.warping) == 20000
         assert peak < 64 * 2**20  # a 20000 x 20000 grid would be 3.2 GB
 
+    def test_dtw_holds_one_distance_table(self):
+        # the accumulated grid overwrites the 500 x 450 distance table
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0, 5, size=(500, 1)), rng.uniform(0, 5, size=(450, 1))
+        tracemalloc.start()
+        try:
+            dtw(a, b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 500 * 450 * 8
+
     @pytest.mark.parametrize("call", ["optimal_sections", "dba"])
     def test_kept_sweeps_hold_one_chunk_at_a_time(self, call):
         # 60 grids of 200 x 200 in chunks of 6: one chunk's kept table is
-        # 400 x 201 x 6 floats, about 3.9 MB, and all ten together 39 MB
+        # 200 x 200 x 6 floats, about 1.9 MB, and all ten together 19 MB
         rng = np.random.default_rng(7)
         T = Dataset([rng.uniform(0, 5, size=(200, 1)) for _ in range(60)])
         c = T.sequences[0]
@@ -300,7 +312,8 @@ def sweep_cases(rng, d: int):
 
 
 class TestStackedSweep:
-    """`_sweep` against the row-by-row recursion, pair by pair, bit for bit."""
+    """`_sweep` against the row-by-row recursion, pair by pair, bit for bit:
+    end cells, warpings and every cell of every kept grid inside its corner."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -309,6 +322,7 @@ class TestStackedSweep:
         whole = core._SWEEP_ELEMENTS
         for cs, taus in sweep_cases(rng, d):
             want = [[reference_dtw(c.vertices, t.vertices, p) for t in taus] for c in cs]
+            grids = [[reference_grid(c.vertices, t.vertices, p) for t in taus] for c in cs]
             assert [[dtw(c, t, p).distance for t in taus] for c in cs] == [
                 [w[0] for w in row] for row in want
             ]
@@ -320,8 +334,8 @@ class TestStackedSweep:
                     got = {}
                     sweeps = list(core._sweep(cs, taus, p, full))
                     assert len(sweeps) == chunks
-                    for rows, cols, ends, S, transposed in sweeps:
-                        assert (S is not None) == full
+                    for rows, cols, ends, G in sweeps:
+                        assert (G is not None) == full
                         B = ends.shape[1]
                         for (i, c), (j, t) in product(
                             enumerate(cs[rows], rows.start), enumerate(taus[cols], cols.start)
@@ -330,8 +344,10 @@ class TestStackedSweep:
                             assert got[i, j].hex() == want[i][j][0].hex()
                             if full:
                                 b = (i - rows.start) * B + j - cols.start
-                                w = core._backtrack(S[:, :, b], len(c), len(t), transposed)
+                                w = core._backtrack(G[:, :, b], len(c), len(t))
                                 assert list(w.pairs) == want[i][j][1]
+                                kept = G[: len(c), : len(t), b]
+                                assert kept.tobytes() == grids[i][j].tobytes()
                     assert len(got) == len(cs) * len(taus)
 
     def test_callers_are_unchanged_by_the_chunking(self, monkeypatch, rng):

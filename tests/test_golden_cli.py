@@ -14,7 +14,8 @@ Re-record (on purpose only) with:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 
-which prints the id of every case whose entry differs from the committed file.
+which prints the id of every case whose entry differs from the committed
+file, and how many cases changed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import pytest
 
 from dtwmean import Dataset, PointSequence, save_dataset
 from dtwmean.cli import main
+
+from conftest import changed_cases, report_changes
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -96,7 +99,7 @@ def cases() -> list[tuple[str, list[str]]]:
                 taken = [s for flag in flags if flag in keep for s in (flag, flags[flag])]
                 out.append((f"{tag}-p{p}-{name}", [*head, "--input", data, *taken]))
             runs = f"runs-{tag}-p{p}.json"
-            out.append((f"{tag}-p{p}-bench-runs", ["bench", "--input", runs, "--p", p]))
+            out.append((f"{tag}-p{p}-bench-runs", ["bench", "--input", runs]))
         out += [
             (f"{tag}-mean-capacity", ["mean", "--input", data, "--ell", "7", "--eps", "0.05",
                                       "--delta", "0.01"]),
@@ -137,16 +140,6 @@ def outcome(argv: list[str]) -> dict:
     return {"exit": 0, "report": json.dumps(_strip_runtime(json.loads(out.getvalue())))}
 
 
-def changed_ids(old: dict, new: dict) -> list[str]:
-    """Ids of the cases of `new` that differ from, or are missing in, `old`,
-    then those of `old` that `new` dropped."""
-    before = {c["id"]: c for c in old["cases"]}
-    ids = {c["id"] for c in new["cases"]}
-    return [c["id"] for c in new["cases"] if before.get(c["id"]) != c] + [
-        cid for cid in before if cid not in ids
-    ]
-
-
 def record() -> dict:
     datasets = golden_datasets()
     cwd = os.getcwd()
@@ -173,10 +166,10 @@ def workdir(golden, tmp_path, monkeypatch):
 
 
 def test_changed_ids_name_changed_added_and_dropped_cases():
-    old = {"cases": [{"id": "a", "exit": 0}, {"id": "b", "exit": 0}, {"id": "c", "exit": 2}]}
-    new = {"cases": [{"id": "a", "exit": 0}, {"id": "b", "exit": 3}, {"id": "d", "exit": 0}]}
-    assert changed_ids(old, new) == ["b", "d", "c"]
-    assert changed_ids(new, new) == []
+    old = [{"id": "a", "exit": 0}, {"id": "b", "exit": 0}, {"id": "c", "exit": 2}]
+    new = [{"id": "a", "exit": 0}, {"id": "b", "exit": 3}, {"id": "d", "exit": 0}]
+    assert changed_cases(old, new, ("id",)) == [("b",), ("d",), ("c",)]
+    assert changed_cases(new, new, ("id",)) == []
 
 
 def test_golden_case_list_is_complete(golden):
@@ -200,8 +193,7 @@ if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"datasets": {}, "cases": []}
     if old["datasets"] != rec["datasets"]:
         print("datasets changed")
-    changed = changed_ids(old, rec)
-    print(*changed, f"{len(changed)} of {len(rec['cases'])} cases changed", sep="\n")
+    report_changes(old["cases"], rec["cases"], ("id",))
     lines = ",\n".join(json.dumps(c) for c in rec["cases"])
     GOLDEN.write_text(
         '{"datasets": ' + json.dumps(rec["datasets"]) + ',\n"cases": [\n' + lines + "\n]}\n"

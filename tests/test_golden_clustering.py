@@ -9,6 +9,9 @@ any refactor of the clustering layer must reproduce it exactly.
 Re-record (on purpose only) with:
 
     PYTHONPATH=src python tests/test_golden_clustering.py --record
+
+which prints the key fields of every case whose entry differs from the
+committed file, and how many cases changed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from dtwmean import (
 )
 from dtwmean.clustering import _cand2, _PointTable
 
+from conftest import report_changes
+
+#: the fields that tell one case from another
+KEY_FIELDS = ("generator", "k", "p", "q", "d", "seed")
 GOLDEN = Path(__file__).parent / "data" / "golden_clustering.json"
 
 GENERATORS = ("cand1", "cand2")
@@ -166,5 +173,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
-    lines = ",\n".join(json.dumps(c) for c in record())
+    rec = record()
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+    report_changes(old, rec, KEY_FIELDS)
+    lines = ",\n".join(json.dumps(c) for c in rec)
     GOLDEN.write_text('{"cases": [\n' + lines + "\n]}\n")

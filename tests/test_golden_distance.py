@@ -12,6 +12,9 @@ kept as the reference for a randomized differential test.
 Re-record (on purpose only) with:
 
     PYTHONPATH=src python tests/test_golden_distance.py --record
+
+which prints the key fields of every case whose entry differs from the
+committed file, and how many cases changed.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from dtwmean import (
 )
 from dtwmean.core import pow_dist_matrix
 
+from conftest import report_changes
+
+#: the fields that tell one case from another
+KEY_FIELDS = ("kind", "d", "p")
 GOLDEN = Path(__file__).parent / "data" / "golden_distance.json"
 
 KINDS = ("ties", "long", "random")
@@ -131,8 +138,8 @@ def test_distance_layer_matches_golden(golden, key):
         assert value == case[name], name
 
 
-def reference_dtw(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, list]:
-    """Row-by-row p-DTW with the (1,1) > (1,0) > (0,1) backtrack tie order."""
+def reference_grid(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """The accumulated p-th-power DTW grid, filled row by row."""
     powd = pow_dist_matrix(a, b, p)
     m1, m2 = powd.shape
     acc = np.empty_like(powd)
@@ -150,6 +157,13 @@ def reference_dtw(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, list]:
             if row[j - 1] < best:
                 best = row[j - 1]
             row[j] = powd[i, j] + best
+    return acc
+
+
+def reference_dtw(a: np.ndarray, b: np.ndarray, p: float) -> tuple[float, list]:
+    """Row-by-row p-DTW with the (1,1) > (1,0) > (0,1) backtrack tie order."""
+    acc = reference_grid(a, b, p)
+    m1, m2 = acc.shape
     i, j = m1 - 1, m2 - 1
     rev = [(m1, m2)]
     while i > 0 or j > 0:
@@ -202,5 +216,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
-    lines = ",\n".join(json.dumps(c) for c in record())
+    rec = record()
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+    report_changes(old, rec, KEY_FIELDS)
+    lines = ",\n".join(json.dumps(c) for c in rec)
     GOLDEN.write_text('{"cases": [\n' + lines + "\n]}\n")

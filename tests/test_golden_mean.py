@@ -12,6 +12,9 @@ exactly.
 Re-record (on purpose only) with:
 
     PYTHONPATH=src python tests/test_golden_mean.py --record
+
+which prints the key fields of every case whose entry differs from the
+committed file, and how many cases changed.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import pytest
 
 from dtwmean import CapacityError, Dataset, PointSequence, exact_mean, mean_c, mean_c_d, med_appr
 
+from conftest import report_changes
+
+#: the fields that tell one case from another
+KEY_FIELDS = ("algo", "p", "q", "d", "ell", "seed")
 GOLDEN = Path(__file__).parent / "data" / "golden_mean.json"
 
 ALGOS = ("sample", "net", "refine", "oracle")
@@ -132,5 +139,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
-    lines = ",\n".join(json.dumps(c) for c in record())
+    rec = record()
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+    report_changes(old, rec, KEY_FIELDS)
+    lines = ",\n".join(json.dumps(c) for c in rec)
     GOLDEN.write_text('{"cases": [\n' + lines + "\n]}\n")

@@ -74,6 +74,29 @@ class TestGridCover:
         with pytest.raises(DomainError, match="rescale the coordinates"):
             grid_cover(BallUnion(centers=np.zeros((1, 2)), radius=1.35e154), 1e154)
 
+    def test_lattice_index_past_int64_is_rejected(self):
+        # at 1e15 with a 1e-4 radius the rung's cells are so fine that the
+        # lattice indices (about 1e19) do not fit int64
+        T = Dataset([[[1e15], [1000000000000001.0]], [[1000000000000000.5], [1000000000000001.0]],
+                     [[1e15], [1000000000000000.25]]])
+        with pytest.raises(DomainError, match="translate or rescale the coordinates"):
+            med_appr(T, 0.001, 1.0, 0.2, 1, 1)
+
+    def test_cell_count_past_int64_hits_the_guard(self):
+        # 2^22 cells per axis: the 2^66 cells of the box must not wrap to 0
+        with pytest.raises(CapacityError, match="more than"):
+            grid_cover(BallUnion(centers=np.zeros((1, 3)), radius=1.0), 1 / 2097151.5)
+
+    def test_sorted_unique_rows_match_np_unique(self, rng):
+        for _ in range(300):
+            d, k = int(rng.integers(1, 4)), int(rng.integers(0, 60))
+            rows = rng.integers(-4, 4, size=(k, d))
+            rows = np.concatenate([rows, rows[: int(rng.integers(0, k + 1))]])
+            want = np.unique(rows, axis=0)
+            got = refine._sorted_unique_rows(rows)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DomainError):
             grid_cover(BallUnion(centers=np.array([[1.0]]), radius=1.0), 0.0)
