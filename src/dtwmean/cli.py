@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample: randomized constant factor; net: deterministic constant "
         "factor; refine: (1+eps) median scheme; dba: averaging baseline",
     )
-    p_mean.add_argument("--max-iters", type=int, default=50, help="dba iteration cap")
+    p_mean.add_argument(
+        "--max-iters", type=int, default=None, help="dba iteration cap (default 50; dba only)"
+    )
 
     p_cluster = _command(sub, "cluster", "(k, ell, p, q)-clustering", *OPTIONS)
     p_cluster.add_argument("--algo", choices=("cand1", "cand2"), default="cand1")
@@ -129,6 +131,10 @@ def _run_command(args) -> dict:
         return _cmd_bench(args)
     if args.command == "gen":
         return _cmd_gen(args)
+    if args.command == "mean" and args.algo != "dba" and args.max_iters is not None:
+        raise DomainError(f"--max-iters cannot be given with --algo {args.algo}; only dba reads it")
+    if args.command == "mean" and args.algo == "dba" and args.max_iters is None:
+        args.max_iters = RunConfig.max_iters  # so the config echo names the cap that ran
     T = load_dataset(args.input, args.format)
     start = time.perf_counter()
     if args.command == "dtw":
@@ -175,7 +181,8 @@ def _run_command(args) -> dict:
     elif args.command == "oracle":
         body = {"result": solve(T, _run_config(args, "oracle", mode=args.algo))["result"]}
     else:  # mean
-        body = solve(T, _run_config(args, args.algo, max_iters=args.max_iters))
+        fields = {"max_iters": args.max_iters} if args.algo == "dba" else {}
+        body = solve(T, _run_config(args, args.algo, **fields))
     body["command"] = args.command
     body["config"] = _config_echo(args)
     body["runtime_ms"] = (time.perf_counter() - start) * 1000.0

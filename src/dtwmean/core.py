@@ -389,12 +389,12 @@ def _backtrack(G: np.ndarray, m1: int, m2: int) -> Warping:
         elif j == 0:
             i -= 1
         else:
-            diag, up, left = G[i - 1, j - 1], G[i - 1, j], G[i, j - 1]
-            best = min(diag, up, left)
-            if diag == best:
+            # Python floats: three `item` reads beat numpy scalar compares
+            diag, up, left = G.item(i - 1, j - 1), G.item(i - 1, j), G.item(i, j - 1)
+            if diag <= up and diag <= left:
                 i -= 1
                 j -= 1
-            elif up == best:
+            elif up <= left:
                 i -= 1
             else:
                 j -= 1

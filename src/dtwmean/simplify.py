@@ -9,7 +9,12 @@ error against the best unrestricted simplification, so the result is a
 The DP assigns to each output vertex a contiguous, non-empty block of input
 positions; blocks are disjoint and cover the whole prefix.  Any warping that
 matches two output vertices to one input vertex can be rewritten into this
-form without increasing cost, so the block model loses nothing.
+form without increasing cost, so the block model loses nothing.  The DP
+walks the input positions once and keeps, per block count and anchor, the
+cheapest cover ending in a block at that anchor: O(m^2 * ell) time and
+O(m * ell) state besides the m x m distance and prefix tables.  It adds
+every term in path order, as `dtw` does, so the reported cost is the dtw_p
+of the emitted sequence to pi, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +41,13 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
     """Best vertex-restricted simplification of pi with at most ell vertices.
 
     Returns the cheapest sequence over {pi_1, ..., pi_m}^{<= ell} under dtw_p,
-    hence a (2, ell)-simplification.  All argmin ties (anchor point, block
-    split, output length) resolve to the smallest index.
+    hence a (2, ell)-simplification; `discrete_cost` is that sequence's
+    dtw_p to pi, bit for bit.  Ties go to the fewest vertices.  The blocks
+    are fixed from the last one back: of the cheapest covers of the prefix
+    left, take those whose last block has the smallest anchor index, and open
+    that block at the earliest position among them.  Each block's vertex is
+    then its cheapest anchor, exact ties going to the smaller difference of
+    column prefix sums over the block, then to the smallest index.
     """
     seq = as_sequence(pi)
     require(ell >= 1, "ell must be >= 1")
@@ -48,68 +58,56 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
     )
 
 
-def _segments(powd: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(m, m) tables seg_val[a, b] / seg_arg[a, b]: the best anchor cost and
-    pool index for the input block a..b (0-based, inclusive), inf / 0 for
-    a > b, from the (input position, pool point) p-th-power table `powd`;
-    DomainError if a prefix sum of `powd` overflows.
-
-    The tables are filled one block length r at a time.  The row of block
-    a..a+r-1 is ``prefix[a + r] - prefix[a]``, so all m - r + 1 rows of
-    length r are one contiguous subtraction into a reused (m, m) buffer, and
-    their row argmins land on diagonal r - 1.  Each row is the same
-    subtraction of the same operands as block start by block start, so its
-    values, ties and anchors have the same bits.
-    """
-    m = len(powd)
-    prefix = np.zeros((m + 1, m))
-    # a prefix sum may overflow although every table entry fits; the terms
-    # are non-negative, so the last prefix row then holds inf
-    with np.errstate(over="ignore"):
-        np.cumsum(powd, axis=0, out=prefix[1:])
-    if math.isinf(prefix[-1].max()):
-        raise path_overflow_error(p)
-    seg_val = np.full((m, m), np.inf)
-    seg_arg = np.zeros((m, m), dtype=int)
-    buf = np.empty((m, m))
-    rows = np.arange(0, m * m, m)  # flat offset of each buffer row
-    for r in range(1, m + 1):
-        k = m - r + 1
-        args = np.argmin(np.subtract(prefix[r:], prefix[:k], out=buf[:k]), axis=1)
-        # entries (a, a + r - 1), a = 0..m-r, of the row-major tables
-        diag = slice(r - 1, r - 1 + k * (m + 1), m + 1)
-        seg_arg.reshape(-1)[diag] = args
-        seg_val.reshape(-1)[diag] = buf.reshape(-1)[rows[:k] + args]
-    return seg_val, seg_arg
-
-
 def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
     """Row indices into `pool`, an (m, d) sequence, of its best simplification
-    with at most ell vertices, and that simplification's dtw_p^p cost.  Of
-    equal vertices the first is the anchor.  The block costs come from
-    `_segments`, which fills its tables one block length at a time."""
+    with at most ell vertices, and that simplification's dtw_p^p cost, summed
+    in path order.  Of equal vertices the first is the anchor.  DomainError
+    if a column sum of the p-th-power distance table overflows."""
     m = len(pool)
     L = min(ell, m)
-    seg_val, seg_arg = _segments(pow_dist_matrix(pool, pool, p), p)
+    powd = pow_dist_matrix(pool, pool, p)
+    # prefix[i, x]: the first i terms of column x; their differences only
+    # break exact anchor ties
+    prefix = np.zeros((m + 1, m))
 
-    # D[i, j]: cheapest cover of the prefix of length i by j anchored blocks
-    D = np.full((m + 1, L + 1), np.inf)
-    split = np.zeros((m + 1, L + 1), dtype=int)
-    D[1:, 1] = seg_val[0, :]
-    for j in range(2, L + 1):
-        # cand[a - (j-1), i - j]: last block a..i-1 (0-based) for every i in
-        # [j, m] at once; seg_val is inf for a > i-1, so those never win
-        cand = D[j - 1 : m, j - 1, None] + seg_val[j - 1 :, j - 1 :]
-        a0 = np.argmin(cand, axis=0)
-        D[j:, j] = cand[a0, np.arange(m - j + 1)]
-        split[j:, j] = j - 1 + a0
+    # E[j, x]: cheapest cover of the positions so far by j + 1 blocks, the
+    # last anchored at x.  F[i, j]: cheapest cover of positions 0..i-1 by j
+    # blocks (F[0, 0] = 0 opens the first); A[i, j - 1]: the smallest x whose
+    # E gave F[i, j]
+    E = np.full((L, m), np.inf)
+    F = np.full((m + 1, L + 1), np.inf)
+    F[0, 0] = 0.0
+    A = np.zeros((m + 1, L), dtype=np.intp)
+    rows, prev = np.arange(L), F[:, :-1, None]
+    with np.errstate(over="ignore"):
+        # the terms are non-negative, so an overflowed prefix sum shows in the last row
+        np.cumsum(powd, axis=0, out=prefix[1:])
+        if math.isinf(prefix[-1].max()):
+            raise path_overflow_error(p)
+        for i in range(m):
+            np.minimum(E, prev[i], out=E)  # continue each block, or open one at i
+            E += powd[i]
+            a = A[i + 1] = E.argmin(axis=1)
+            F[i + 1, 1:] = E[rows, a]
 
-    j_star = 1 + int(np.argmin(D[m, 1:]))
-    anchors: list[int] = []
-    i, j = m, j_star
-    while j >= 1:
-        a = 0 if j == 1 else split[i, j]
-        anchors.append(int(seg_arg[a, i - 1]))
-        i, j = a, j - 1
+        j = int(np.argmin(F[m, 1:]))  # the fewest blocks among the cheapest
+        total, costs = float(F[m, j + 1]), F.T.tolist()
+        anchors: list[int] = []
+        b = m - 1
+        while j >= 0:
+            # replay the forward scan for the argmin anchor alone: its block
+            # opens where it last opened strictly cheaper than continuing
+            e, s, col = math.inf, j, powd[:, A[b + 1, j]].tolist()
+            for i in range(j, b + 1):
+                if costs[j][i] < e:
+                    e, s = costs[j][i], i
+                e += col[i]
+            # every anchor's path-order sum over block s..b; the minimum is F[b + 1, j + 1]
+            v = np.full(m, costs[j][s])
+            for i in range(s, b + 1):
+                v += powd[i]
+            ties = np.flatnonzero(v == v.min())
+            anchors.append(int(ties[np.argmin(prefix[b + 1, ties] - prefix[s, ties])]))
+            b, j = s - 1, j - 1
     anchors.reverse()
-    return anchors, float(D[m, j_star])
+    return anchors, total

@@ -185,6 +185,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"{flag} cannot be given with a run list" in err
 
+    @pytest.mark.parametrize("algo", ["sample", "net", "refine"])
+    def test_mean_max_iters_is_dba_only(self, capsys, dataset_path, algo):
+        # only dba iterates, so the cap would be ignored
+        assert main(["mean", "--input", dataset_path, "--algo", algo, "--max-iters", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--max-iters cannot be given with --algo {algo}" in err
+
+    def test_mean_dba_echoes_its_default_cap(self, capsys, dataset_path):
+        code, rep = run_cli(capsys, "mean", "--input", dataset_path, "--algo", "dba")
+        assert code == 0 and rep["config"]["max_iters"] == 50
+
     @pytest.mark.parametrize("entry", [{"k": 3}, {"beta": 5.0}])
     def test_bench_rejects_clustering_fields(self, capsys, tmp_path, dataset_path, entry):
         # bench runs no clustering, so a k or beta is an unknown field

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dtwmean import DomainError, PointSequence, dtw, simplify
 from dtwmean.core import pow_dist_matrix
-from dtwmean.simplify import _anchors, _segments
+from dtwmean.simplify import _anchors
 
 from conftest import random_sequence, seq
 
@@ -100,8 +100,9 @@ class TestSimplify:
 
 
 def reference_segments(powd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The segment tables filled block start by block start, each start's
-    rows as one subtraction of a broadcast prefix row."""
+    """(m, m) tables of the best anchor cost and pool index of every input
+    block a..b, as differences of column prefix sums, filled block start by
+    block start."""
     m = len(powd)
     prefix = np.vstack([np.zeros(m), np.cumsum(powd, axis=0)])
     seg_val = np.full((m, m), np.inf)
@@ -115,7 +116,9 @@ def reference_segments(powd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
-    """`_anchors` over the block-start segment tables."""
+    """The O(m^3) segment-table DP: the best split per (prefix, block count)
+    over the block costs of `reference_segments`, ties to the smallest
+    anchor, split and length."""
     m = len(pool)
     L = min(ell, m)
     seg_val, seg_arg = reference_segments(pow_dist_matrix(pool, pool, p))
@@ -139,33 +142,67 @@ def reference_anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], 
 
 
 def anchor_inputs(rng, d: int):
-    """(m, d) sequences: lengths 1..60 at scales 1e-5..1e5, then
-    integer-rounded ones with repeated vertices and -0.0, so ties occur."""
+    """(m, d) sequences of three kinds: random walks of lengths 1..60 at
+    scales 1e-5..1e5, then small-integer points (one of them -0.0) and walks
+    rounded to one decimal, whose repeated vertices and distances make exact
+    ties."""
     for m, scale in zip((1, 2, 17, 60, 33), (1e5, 1e-5, 1.0, 1e-3, 1e3)):
         yield np.cumsum(rng.normal(scale=scale, size=(m, d)), axis=0)
-    for m in (5, 24, 40):
-        pool = np.round(rng.normal(scale=1.5, size=(m, d)))
-        pool[m // 2 :] = pool[: m - m // 2]
+    for m in (3, 5, 24, 40):
+        pool = rng.integers(-3, 4, size=(m, d)).astype(float)
         pool[0] = -0.0
         yield pool
+    for m in (4, 9, 31):
+        yield np.round(np.cumsum(rng.normal(size=(m, d)), axis=0), 1)
 
 
-class TestSegmentTable:
+def dtw_p(pool: np.ndarray, anchors: list[int], p: float) -> float:
+    """dtw_p of the simplification `anchors` to `pool`, recomputed by `dtw`."""
+    return dtw(PointSequence(pool[anchors]), PointSequence(pool), p).distance
+
+
+#: dimension-1 pools whose single tie (anchor 1 or 2 for the block 1..2 at
+#: ell = 2) the prefix-sum differences break toward anchor 2
+TIED_RAMPS = [
+    ([0.05314877059690459, 0.6126643152881783, 1.0740842173093352], 1.0),
+    ([0.03220388173220595, 0.5906767227085096, 1.0206191634687976], 1.0),
+    ([0.03220388173220595, 0.5906767227085096, 1.0206191634687976], 2.0),
+]
+
+
+class TestAnchorDP:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_equals_the_block_start_reference_bit_for_bit(self, d, p):
+    def test_cost_recomputes_and_is_no_worse_than_the_segment_table(self, d, p):
         rng = np.random.default_rng([d, int(2 * p)])
         for pool in anchor_inputs(rng, d):
-            powd = pow_dist_matrix(pool, pool, p)
-            (val, arg), (want_val, want_arg) = _segments(powd, p), reference_segments(powd)
-            assert np.array_equal(val.view(np.int64), want_val.view(np.int64))
-            assert np.array_equal(arg, want_arg)
-            for ell in (1, 3, 8):
-                (got, total), (want, want_total) = (
-                    _anchors(pool, ell, p),
-                    reference_anchors(pool, ell, p),
-                )
-                assert got == want and total.hex() == want_total.hex()
+            for ell in (1, 2, 3, 8):
+                anchors, total = _anchors(pool, ell, p)
+                assert len(anchors) <= ell
+                got = dtw_p(pool, anchors, p)
+                # the reported cost is the emitted sequence's dtw_p, bit for bit
+                assert (total ** (1.0 / p)).hex() == got.hex()
+                want = dtw_p(pool, reference_anchors(pool, ell, p)[0], p)
+                assert got <= want * (1 + 1e-12)
+
+    def test_large_offset_does_not_swamp_later_blocks(self):
+        # as differences of prefix sums, every later block cost is lost in the
+        # 1e16 term of the first block, and ell = 4 would report 0.0
+        pi = seq(1e8, 0, 1, 0, 1, 0, 3, 0, 1)
+        r = simplify(pi, 3, 2)
+        assert r.sequence.as_list() == [[1e8], [0.0], [1.0]]
+        assert r.discrete_cost == 2.6457513110645907
+        r = simplify(pi, 4, 2)
+        assert r.discrete_cost == 1.7320508075688772
+        assert r.discrete_cost == dtw(pi, r.sequence, 2).distance
+
+    @pytest.mark.parametrize("coords, p", TIED_RAMPS)
+    def test_exact_anchor_ties_keep_the_segment_table_choice(self, coords, p):
+        pool = np.array(coords).reshape(-1, 1)
+        assert _anchors(pool, 2, p)[0] == [0, 2]
+        assert reference_anchors(pool, 2, p)[0] == [0, 2]
+        # the tie is exact, so smallest index alone would pick anchor 1
+        assert dtw_p(pool, [0, 1], p) == dtw_p(pool, [0, 2], p)
 
     def test_overflowing_prefix_sum_raises(self):
         # each p = 2 entry, at most 1e308, fits float64; the prefix sum of two does not
