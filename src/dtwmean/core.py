@@ -201,11 +201,12 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Matrix of pairwise Euclidean distances raised to the p-th power.
 
     For d <= 7 the squared coordinate differences are added one coordinate
-    at a time, left to right, into one m1 x m2 array, so the table peaks at
-    about two m1 x m2 arrays instead of one m1 x m2 x d array.  That is the
-    order in which numpy sums an axis of fewer than 8 elements, so every
-    entry has the bits of ``np.sqrt((diff * diff).sum(axis=-1)) ** p`` over
-    the (m1, m2, d) array ``diff = a[:, None] - b[None]``.  From d = 8 on
+    at a time, left to right, into one m1 x m2 array through one reused
+    m1 x m2 buffer, so the table peaks at two m1 x m2 arrays instead of one
+    m1 x m2 x d array.  That is the order in which numpy sums an axis of
+    fewer than 8 elements, so every entry has the bits of
+    ``np.sqrt((diff * diff).sum(axis=-1)) ** p`` over the (m1, m2, d) array
+    ``diff = a[:, None] - b[None]``.  From d = 8 on
     numpy sums pairwise, so the table is built by that expression itself.
 
     Raises CapacityError, before allocating anything, when
@@ -222,8 +223,9 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
         else:
             powd = np.subtract.outer(a[:, 0], b[:, 0])
             powd *= powd
+            diff = None  # one buffer, allocated by the first pass
             for k in range(1, d):
-                diff = np.subtract.outer(a[:, k], b[:, k])
+                diff = np.subtract.outer(a[:, k], b[:, k], out=diff)
                 diff *= diff
                 powd += diff
         np.sqrt(powd, out=powd)

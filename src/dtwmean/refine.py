@@ -8,11 +8,11 @@ over balls around a sampled sequence close to the optimum contains, vertex by
 vertex, a snapped copy of the optimal mean, so enumerating all short
 sequences of grid points and keeping the cheapest yields the guarantee.
 
-Sequences are sampled with replacement, so the same cover recurs.  Each
-distinct sampled sequence's cover is built once per rung, and a cover equal
-to one already enumerated is counted in `candidates_scored` and against
-`CANDIDATE_GUARD` like any other, but its tuples are not scored again: they
-can only tie, and ties keep the first candidate.
+Sequences are sampled with replacement, so the same cover recurs.  A rung
+builds and scores each distinct sampled sequence's cover once, as soon as it
+is built; a repeated draw is counted in `candidates_scored` and against
+`CANDIDATE_GUARD` but not scored again.  An equal cover of another draw or
+rung is scored again; it can only tie, and ties keep the first candidate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -137,7 +136,8 @@ def med_appr(
     Ties in the final argmin resolve to the first candidate in enumeration
     order (sampled simplifications first, then grid tuples rung by rung).
     `candidates_scored` counts every enumerated tuple, those of a repeated
-    grid cover included, although a repeated cover is not rescored.
+    draw included.  Covers are scored as they are built, so a score that
+    overflows raises DomainError before a later rung can exceed the guard.
     """
     require(eps > 0, "eps must be positive")
     require(p >= 1, "p must be >= 1")
@@ -174,15 +174,15 @@ def med_appr(
     size_cap = ell * beta
 
     # grid covers in enumeration order, after the simplifications; a repeated
-    # cover is counted but queued once (see the module docstring)
-    covers: list[np.ndarray] = []
-    queued: set[tuple] = set()
+    # draw is counted but scored once (see the module docstring)
+    best, fallback = (R, winner), True
     for r in rungs:
         gamma = rung_cell_width(r, m, p, eps, d)
         require(gamma > 0, "grid cell width must be positive")
         built: dict[int, np.ndarray | None] = {}
         for i in draws:
-            if i not in built:
+            fresh = i not in built
+            if fresh:
                 union = BallUnion(centers=T.sequences[i].vertices, radius=4.0 * r)
                 small = _inscribed_cell_lower_bound(union, gamma) <= size_cap
                 built[i] = grid_cover(union, gamma) if small else None
@@ -195,14 +195,10 @@ def med_appr(
                     f"candidate budget {CANDIDATE_GUARD} exceeded at rung r={r!r}"
                 )
             total += added
-            key = (cover.shape, cover.tobytes())
-            if key not in queued:
-                queued.add(key)
-                covers.append(cover)
+            fallback = False
+            if fresh:
+                best = argmin_fold(tuple_groups(T, cover, ell, p, 1.0), best)
 
-    best_cost, winner = argmin_fold(
-        chain.from_iterable(tuple_groups(T, c, ell, p, 1.0) for c in covers),
-        (R, winner),
-    )
-    flags = [] if covers else ["fallback"]
+    best_cost, winner = best
+    flags = ["fallback"] if fallback else []
     return MeanResult(PointSequence(winner), best_cost, candidates_scored=total, flags=flags)

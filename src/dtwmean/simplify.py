@@ -12,7 +12,7 @@ matches two output vertices to one input vertex can be rewritten into this
 form without increasing cost, so the block model loses nothing.  The DP
 walks the input positions once and keeps, per block count and anchor, the
 cheapest cover ending in a block at that anchor: O(m^2 * ell) time and
-O(m * ell) state besides the m x m distance and prefix tables.  It adds
+O(m * ell) state besides the m x m distance table.  It adds
 every term in path order, as `dtw` does, so the reported cost is the dtw_p
 of the emitted sequence to pi, bit for bit.
 """
@@ -47,7 +47,8 @@ def simplify(pi, ell: int, p: float) -> SimplificationResult:
     left, take those whose last block has the smallest anchor index, and open
     that block at the earliest position among them.  Each block's vertex is
     then its cheapest anchor, exact ties going to the smaller difference of
-    column prefix sums over the block, then to the smallest index.
+    column prefix sums over the block (a nan one, of two overflowed sums,
+    first), then to the smallest index.
     """
     seq = as_sequence(pi)
     require(ell >= 1, "ell must be >= 1")
@@ -62,13 +63,10 @@ def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
     """Row indices into `pool`, an (m, d) sequence, of its best simplification
     with at most ell vertices, and that simplification's dtw_p^p cost, summed
     in path order.  Of equal vertices the first is the anchor.  DomainError
-    if a column sum of the p-th-power distance table overflows."""
+    if that cost overflows float64."""
     m = len(pool)
     L = min(ell, m)
     powd = pow_dist_matrix(pool, pool, p)
-    # prefix[i, x]: the first i terms of column x; their differences only
-    # break exact anchor ties
-    prefix = np.zeros((m + 1, m))
 
     # E[j, x]: cheapest cover of the positions so far by j + 1 blocks, the
     # last anchored at x.  F[i, j]: cheapest cover of positions 0..i-1 by j
@@ -79,11 +77,7 @@ def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
     F[0, 0] = 0.0
     A = np.zeros((m + 1, L), dtype=np.intp)
     rows, prev = np.arange(L), F[:, :-1, None]
-    with np.errstate(over="ignore"):
-        # the terms are non-negative, so an overflowed prefix sum shows in the last row
-        np.cumsum(powd, axis=0, out=prefix[1:])
-        if math.isinf(prefix[-1].max()):
-            raise path_overflow_error(p)
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(m):
             np.minimum(E, prev[i], out=E)  # continue each block, or open one at i
             E += powd[i]
@@ -92,6 +86,8 @@ def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
 
         j = int(np.argmin(F[m, 1:]))  # the fewest blocks among the cheapest
         total, costs = float(F[m, j + 1]), F.T.tolist()
+        if math.isinf(total):
+            raise path_overflow_error(p)
         anchors: list[int] = []
         b = m - 1
         while j >= 0:
@@ -107,7 +103,10 @@ def _anchors(pool: np.ndarray, ell: int, p: float) -> tuple[list[int], float]:
             for i in range(s, b + 1):
                 v += powd[i]
             ties = np.flatnonzero(v == v.min())
-            anchors.append(int(ties[np.argmin(prefix[b + 1, ties] - prefix[s, ties])]))
+            # the tied columns' prefix sums break the tie; a difference of
+            # overflowed sums reads nan, which argmin takes first
+            prefix = np.cumsum(powd[: b + 1, ties], axis=0)
+            anchors.append(int(ties[np.argmin(prefix[b] - (prefix[s - 1] if s else 0.0))]))
             b, j = s - 1, j - 1
     anchors.reverse()
     return anchors, total

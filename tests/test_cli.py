@@ -409,6 +409,15 @@ class TestNonFinite:
         assert out == "" and err.startswith("validation error")
         assert "distances raised to p = 2.0 overflows float64" in err
 
+    def test_simplify_with_an_overflowing_column_sum_exits_0(self, capsys, tmp_path):
+        # a column of the p = 2 table sums to inf, but the best cover costs 1e308
+        path = _write(tmp_path, {"dimension": 1, "sequences": [[[0.0], [1e154], [1e154]]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "simplify", "--input", path, "--p", "2", "--ell", "1")
+        assert code == 0
+        assert rep["result"] == {"sequences": [[[1e154]]], "costs": [1e154]}
+
     def test_bench_flags_overflowing_q_powers_invalid(self, capsys, tmp_path):
         path = _write(tmp_path, HUGE_CUBES)
         with warnings.catch_warnings():

@@ -261,3 +261,33 @@ class TestRepeatedCovers:
         assert str(err.value) == "candidate budget 181536 exceeded at rung r=0.018750000000000003"
         monkeypatch.setattr(refine, "CANDIDATE_GUARD", 303604)
         assert refine.med_appr(self.T, *self.ARGS).candidates_scored == 303604
+
+
+class TestEqualCoversOfOtherDraws:
+    """Sequences 0 and 1 are equal, and seed 2 draws [3, 1, 0, 1], so at
+    each of the 7 rungs the covers of draws 1 and 0 are equal.  The winner,
+    cost and count were recorded from the implementation that queued each
+    distinct cover once, by its bytes, and scored 14 covers."""
+
+    T = Dataset([seq(0, 1, 2.1), seq(0, 1, 2.1), seq(0.3, 1.4), seq(0.1, 0.9, 2.0)])
+    ARGS = (1.0, 1.0, 0.2, 2, 2)  # eps, p, delta, ell, seed
+
+    def test_draws_repeat_and_hold_equal_sequences(self):
+        assert np.random.default_rng(2).integers(0, 4, size=4).tolist() == [3, 1, 0, 1]
+
+    def test_rescoring_an_equal_cover_only_ties(self, monkeypatch):
+        scored = []
+        real_groups = refine.tuple_groups
+
+        def counting_groups(T, points, *args):
+            scored.append(points.tobytes())
+            return real_groups(T, points, *args)
+
+        monkeypatch.setattr(refine, "tuple_groups", counting_groups)
+        res = refine.med_appr(self.T, *self.ARGS)
+        # one cover per distinct draw and rung; draws 1 and 0 build equal ones
+        assert (len(scored), len(set(scored))) == (21, 14)
+        assert res.sequence.as_list() == [[0.296875], [2.01875]]
+        assert res.cost.hex() == "0x1.cd33333333334p+1"
+        assert res.candidates_scored == 424552
+        assert res.flags == []

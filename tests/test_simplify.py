@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -204,7 +205,25 @@ class TestAnchorDP:
         # the tie is exact, so smallest index alone would pick anchor 1
         assert dtw_p(pool, [0, 1], p) == dtw_p(pool, [0, 2], p)
 
-    def test_overflowing_prefix_sum_raises(self):
-        # each p = 2 entry, at most 1e308, fits float64; the prefix sum of two does not
+    def test_overflowing_column_sum_with_a_finite_optimum(self):
+        # each p = 2 entry, at most 1e308, fits float64; column 0 sums to inf,
+        # but the best cover, anchor 1e154, costs 1e308
+        pi = seq(0.0, 1e154, 1e154)
+        r = simplify(pi, 1, 2)
+        assert r.sequence.as_list() == [[1e154]]
+        assert r.discrete_cost == dtw(pi, r.sequence, 2).distance == 1e154
+
+    def test_overflowing_optimum_raises(self):
+        # every one-block cover sums two 1e308 terms
         with pytest.raises(DomainError, match="sum of distances raised to p = 2"):
-            simplify(seq(0.0, 1e154, 1e154), 1, 2)
+            simplify(seq(0.0, 1e154, 1e154, 0.0), 1, 2)
+
+    def test_tie_between_overflowed_columns_goes_to_the_smallest_index(self):
+        # the last block, position 3 alone, ties anchors 0 and 3, and both
+        # columns' prefix sums overflow, so their difference reads nan
+        pool = seq(0.0, 1e154, 1e154, 0.0).vertices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            anchors, total = _anchors(pool, 2, 2)
+        assert anchors == [1, 0]
+        assert total == 1e308
