@@ -4,7 +4,9 @@
 
 Every command reads a dataset (``--input``), writes a strict JSON report
 (``--output`` or stdout; a non-finite number in it is a validation error)
-and is fully determined by its flags and ``--seed``.
+and is fully determined by its flags and ``--seed``.  A report is one line
+of compact JSON (``python -m json.tool`` pretty-prints it); dataset files
+written by ``gen`` keep their indented layout.
 Exit codes: 0 success, 2 validation error, 3 capacity guard, 4 I/O error.
 """
 
@@ -31,6 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 
+_COMMANDS = ("dtw", "simplify", "mean", "cluster", "oracle", "bench", "gen")
+
 
 #: Type, default and help of the options that only some commands read.
 OPTIONS = {
@@ -55,62 +59,76 @@ def _command(sub, name: str, summary: str, *options: str) -> argparse.ArgumentPa
     return cmd
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or one that holds only the subcommand `command`.
+
+    Both give that subcommand the same help, usage and error text: the
+    one-command parser still names every command in its usage line.
+    """
     parser = argparse.ArgumentParser(
         prog="dtwmean",
         description="Restricted-complexity means and clusterings under p-DTW",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "dtw", "distance between the first two sequences", "p")
-    _command(sub, "simplify", "simplify every sequence to <= ell vertices", "p", "ell")
+    metavar = "{%s}" % ",".join(_COMMANDS) if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    wanted = {command} if command else set(_COMMANDS)
+    if "dtw" in wanted:
+        _command(sub, "dtw", "distance between the first two sequences", "p")
+    if "simplify" in wanted:
+        _command(sub, "simplify", "simplify every sequence to <= ell vertices", "p", "ell")
 
-    p_mean = _command(
-        sub, "mean", "approximate restricted mean", "p", "ell", "eps", "delta", "seed"
-    )
-    p_mean.add_argument(
-        "--algo",
-        choices=ALGOS[:-1],  # the oracle has a command of its own
-        default="sample",
-        help="sample: randomized constant factor; net: deterministic constant "
-        "factor; refine: (1+eps) median scheme; dba: averaging baseline",
-    )
-    p_mean.add_argument(
-        "--max-iters", type=int, default=None, help="dba iteration cap (default 50; dba only)"
-    )
+    if "mean" in wanted:
+        p_mean = _command(
+            sub, "mean", "approximate restricted mean", "p", "ell", "eps", "delta", "seed"
+        )
+        p_mean.add_argument(
+            "--algo",
+            choices=ALGOS[:-1],  # the oracle has a command of its own
+            default="sample",
+            help="sample: randomized constant factor; net: deterministic constant "
+            "factor; refine: (1+eps) median scheme; dba: averaging baseline",
+        )
+        p_mean.add_argument(
+            "--max-iters", type=int, default=None, help="dba iteration cap (default 50; dba only)"
+        )
 
-    p_cluster = _command(sub, "cluster", "(k, ell, p, q)-clustering", *OPTIONS)
-    p_cluster.add_argument("--algo", choices=("cand1", "cand2"), default="cand1")
-    p_cluster.add_argument("--k", type=int, required=True)
-    p_cluster.add_argument("--beta", type=float, required=True)
+    if "cluster" in wanted:
+        p_cluster = _command(sub, "cluster", "(k, ell, p, q)-clustering", *OPTIONS)
+        p_cluster.add_argument("--algo", choices=("cand1", "cand2"), default="cand1")
+        p_cluster.add_argument("--k", type=int, required=True)
+        p_cluster.add_argument("--beta", type=float, required=True)
 
-    p_oracle = _command(sub, "oracle", "exact desk-scale reference solution", "p", "q", "ell")
-    p_oracle.add_argument(
-        "--algo",
-        choices=MODES,
-        default=None,
-        help="oracle mode; inferred from p, q and the dimension when omitted",
-    )
-    p_oracle.add_argument("--k", type=int, default=None, help="cluster instead of mean")
+    if "oracle" in wanted:
+        p_oracle = _command(sub, "oracle", "exact desk-scale reference solution", "p", "q", "ell")
+        p_oracle.add_argument(
+            "--algo",
+            choices=MODES,
+            default=None,
+            help="oracle mode; inferred from p, q and the dimension when omitted",
+        )
+        p_oracle.add_argument("--k", type=int, default=None, help="cluster instead of mean")
 
-    p_bench = _command(sub, "bench", "comparison battery or explicit run list", *OPTIONS)
-    # a run list names its own fields, so _cmd_bench fills the defaults only
-    # for a dataset and refuses any option given with a run list
-    p_bench.set_defaults(**dict.fromkeys(OPTIONS))
+    if "bench" in wanted:
+        p_bench = _command(sub, "bench", "comparison battery or explicit run list", *OPTIONS)
+        # a run list names its own fields, so _cmd_bench fills the defaults only
+        # for a dataset and refuses any option given with a run list
+        p_bench.set_defaults(**dict.fromkeys(OPTIONS))
 
-    p_gen = _command(sub, "gen", "synthesize a dataset from a base sequence", "seed")
-    p_gen.add_argument("--n", type=int, default=8, help="number of sequences")
-    p_gen.add_argument("--noise", type=float, default=0.1, help="uniform noise half-width")
-    p_gen.add_argument(
-        "--resample",
-        default=None,
-        help="MIN,MAX resampled sequence length (default: base length twice)",
-    )
+    if "gen" in wanted:
+        p_gen = _command(sub, "gen", "synthesize a dataset from a base sequence", "seed")
+        p_gen.add_argument("--n", type=int, default=8, help="number of sequences")
+        p_gen.add_argument("--noise", type=float, default=0.1, help="uniform noise half-width")
+        p_gen.add_argument(
+            "--resample",
+            default=None,
+            help="MIN,MAX resampled sequence length (default: base length twice)",
+        )
     return parser
 
 
 def _report_out(report: dict, output: str | None) -> None:
     try:
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = json.dumps(report, allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"the report holds a non-finite number: {exc}") from None
     if output:
@@ -244,7 +262,9 @@ def _cmd_gen(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # help, a missing or unknown command and a leading option need the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         report = _run_command(args)

@@ -23,10 +23,12 @@ from .errors import CapacityError, DomainError, require
 WARPING_ENUMERATION_GUARD = 1_000_000
 
 #: Cap on m1 * m2 * d for one distance matrix (128 MB of float64), checked
-#: before allocating.  For d <= 7 the table is built in about two m1 x m2
-#: arrays, from d = 8 on through m1 x m2 x d arrays; the cap counts
-#: m1 * m2 * d either way.
+#: before allocating.  The table is built in one m1 x m2 array plus one
+#: block of rows; the cap counts m1 * m2 * d all the same.
 DISTANCE_GUARD = 16_000_000
+
+# cap on the elements of pow_dist_matrix's reused block buffer
+_TABLE_BLOCK = 1 << 16
 
 # cap on the stacked distance-table elements (times d) of one sweep chunk:
 # many small grids share a chunk up to it, and a pair above it sweeps alone
@@ -200,14 +202,14 @@ def _check_guard(m1: int, m2: int, d: int) -> None:
 def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """Matrix of pairwise Euclidean distances raised to the p-th power.
 
-    For d <= 7 the squared coordinate differences are added one coordinate
-    at a time, left to right, into one m1 x m2 array through one reused
-    m1 x m2 buffer, so the table peaks at two m1 x m2 arrays instead of one
-    m1 x m2 x d array.  That is the order in which numpy sums an axis of
-    fewer than 8 elements, so every entry has the bits of
-    ``np.sqrt((diff * diff).sum(axis=-1)) ** p`` over the (m1, m2, d) array
-    ``diff = a[:, None] - b[None]``.  From d = 8 on
-    numpy sums pairwise, so the table is built by that expression itself.
+    The table is built in blocks of rows through one reused buffer of at
+    most _TABLE_BLOCK elements (one row, when a row is wider), so it peaks
+    at one m1 x m2 array plus one block.  For d <= 7 the squared coordinate
+    differences are added one coordinate at a time, left to right.  That is
+    the order in which numpy sums an axis of fewer than 8 elements, so every
+    entry has the bits of ``np.sqrt((diff * diff).sum(axis=-1)) ** p`` over
+    the (m1, m2, d) array ``diff = a[:, None] - b[None]``.  From d = 8 on
+    numpy sums pairwise, so each block is built by that expression itself.
 
     Raises CapacityError, before allocating anything, when
     len(a) * len(b) * d exceeds DISTANCE_GUARD, and DomainError when an
@@ -215,21 +217,29 @@ def pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """
     m1, m2, d = len(a), len(b), a.shape[1]
     _check_guard(m1, m2, d)
+    step = max(1, _TABLE_BLOCK // (m2 * d))
+    powd = np.empty((m1, m2))
+    block = min(step, m1) if d > 1 else 0  # d = 1 needs no buffer
+    buf = np.empty((block, m2, d) if d >= 8 else (block, m2))
     with np.errstate(over="ignore"):
-        if d >= 8:
-            # numpy sums 8 or more terms pairwise, not left to right
-            diff = a[:, None, :] - b[None, :, :]
-            powd = (diff * diff).sum(axis=-1)
-        else:
-            powd = np.subtract.outer(a[:, 0], b[:, 0])
-            powd *= powd
-            diff = None  # one buffer, allocated by the first pass
-            for k in range(1, d):
-                diff = np.subtract.outer(a[:, k], b[:, k], out=diff)
+        for lo in range(0, m1, step):
+            hi = lo + step
+            rows = powd[lo:hi]
+            diff = buf[: len(rows)]
+            if d >= 8:
+                # numpy sums 8 or more terms pairwise, not left to right
+                np.subtract(a[lo:hi, None, :], b[None, :, :], out=diff)
                 diff *= diff
-                powd += diff
-        np.sqrt(powd, out=powd)
-        powd **= p
+                diff.sum(axis=-1, out=rows)
+            else:
+                np.subtract.outer(a[lo:hi, 0], b[:, 0], out=rows)
+                rows *= rows
+                for k in range(1, d):
+                    np.subtract.outer(a[lo:hi, k], b[:, k], out=diff)
+                    diff *= diff
+                    rows += diff
+            np.sqrt(rows, out=rows)
+            rows **= p
     if math.isinf(powd.max()):
         raise DomainError(
             f"a squared coordinate difference or a distance raised to p = {p} "

@@ -1,7 +1,12 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -523,3 +528,73 @@ class TestExitCodeMatrix:
         else:
             assert out == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOneCommandParser:
+    """`main` builds only the named subcommand's parser; help, usage and
+    errors read as from the full parser."""
+
+    @pytest.mark.parametrize("name", list(_subparsers(cli.build_parser())))
+    def test_subparser_equals_the_full_parsers(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        (alone,) = _subparsers(cli.build_parser(name)).values()
+        full = _subparsers(cli.build_parser())[name]
+        assert alone.format_help() == full.format_help()
+        assert alone.format_usage() == full.format_usage()
+        assert [a.option_strings for a in alone._actions] == [
+            a.option_strings for a in full._actions
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["bogus"],
+            ["--input", "x", "dtw"],
+            ["dtw"],
+            ["mean", "--input", "x", "--algo", "nope"],
+            ["dtw", "--input", "x", "extra"],
+            ["cluster", "--help"],
+        ],
+        ids=" ".join,
+    )
+    def test_messages_equal_the_full_parsers(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(run):
+            try:
+                code = run()
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        want = outcome(lambda: cli.build_parser().parse_args(argv))
+        assert want[0] != 0 or want[1]  # each case ends in the parser
+        assert outcome(lambda: main(argv)) == want
+
+
+def test_module_entry_point_prints_one_line(capsys, tmp_path, dataset_path):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["dtw", "--input", dataset_path, "--p", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtwmean.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 1 and proc.stdout.endswith("\n")
+    _, want = run_cli(capsys, *argv)
+    assert strip_timing(json.loads(proc.stdout)) == strip_timing(want)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert strip_timing(json.loads(text)) == strip_timing(want)

@@ -509,6 +509,72 @@ class TestPowDistMatrix:
         assert calls
 
 
+def unblocked_pow_dist_matrix(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """The table built whole, as before row blocks: one (m1, m2, d)
+    difference from d = 8 on, else coordinates added through one m1 x m2
+    buffer.  Overflowed entries are left as inf."""
+    d = a.shape[1]
+    with np.errstate(over="ignore"):
+        if d >= 8:
+            diff = a[:, None, :] - b[None, :, :]
+            powd = (diff * diff).sum(axis=-1)
+        else:
+            powd = np.subtract.outer(a[:, 0], b[:, 0])
+            powd *= powd
+            diff = None
+            for k in range(1, d):
+                diff = np.subtract.outer(a[:, k], b[:, k], out=diff)
+                diff *= diff
+                powd += diff
+        np.sqrt(powd, out=powd)
+        powd **= p
+    return powd
+
+
+class TestBlockedTable:
+    @staticmethod
+    def assert_matches_unblocked(a, b, p):
+        want = unblocked_pow_dist_matrix(a, b, p)
+        if np.isinf(want).any():
+            with pytest.raises(DomainError, match="overflows float64"):
+                pow_dist_matrix(a, b, p)
+        else:
+            got = pow_dist_matrix(a, b, p)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_equals_the_unblocked_table_bit_for_bit(self, d):
+        rng = np.random.default_rng([18, d])
+        # 470 rows are no multiple of the block rows at m2 = 480 for any d
+        shapes = [(470, 480), (1, 1), (3, 70_000), (70_000 // d, 1), (129, 511)]
+        for (m1, m2), scale in product(shapes, (1e-150, 1.0, 1e150)):
+            a, b = rng.normal(scale=scale, size=(m1, d)), rng.normal(scale=scale, size=(m2, d))
+            a[rng.random(a.shape) < 0.1] = -0.0
+            b[: len(b) // 2] = np.round(b[: len(b) // 2] / scale) * scale
+            for p in (1.0, 2.0, 3.0) if scale == 1.0 else (2.0,):
+                self.assert_matches_unblocked(a, b, p)
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 1000])
+    def test_small_blocks_equal_the_unblocked_table(self, monkeypatch, block):
+        monkeypatch.setattr(core, "_TABLE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for d in range(1, 10):
+            a, b = rng.normal(size=(37, d)), rng.normal(size=(23, d))
+            self.assert_matches_unblocked(a, b, 1.5)
+
+    def test_a_table_holds_one_allocation_and_a_block(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(470, 2)), rng.normal(size=(480, 2))
+        tracemalloc.start()
+        try:
+            pow_dist_matrix(a, b, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 470 * 480 * 8  # two whole tables before row blocks
+
+
 class TestWeakTriangle:
     def test_equal_endpoints(self):
         x, y = seq(0, 1), seq(5, 9, 2)
