@@ -145,11 +145,15 @@ def _oracle_optimum(T: Dataset, p: float, q: float, ell: int) -> dict | None:
 def bench(configs: list[RunConfig], default_dataset: Dataset | None = None) -> dict:
     """Run every config, attach oracle ratios where feasible, return the report.
 
-    Per-run failures are captured into the corresponding row instead of
-    aborting the batch.  The oracle optimum is computed once per (dataset,
-    objective, ell) and reused for ratios; with only the vertex-restricted
-    oracle mode available the ratio is flagged as a reference value, since a
-    continuous-valued algorithm may legitimately beat it.
+    A run's failure is captured into its row instead of aborting the batch.
+    Its dataset is loaded outside the row, though: a config with no `input`
+    and no `default_dataset`, or whose `input` is no valid dataset, raises
+    DomainError (CLI exit 2), and an `input` that cannot be read raises
+    OSError (exit 4); either aborts the whole batch with no report.
+    The oracle optimum is computed once per (dataset, objective, ell) and
+    reused for ratios; with only the vertex-restricted oracle mode available
+    the ratio is flagged as a reference value, since a continuous-valued
+    algorithm may legitimately beat it.
     """
     datasets: dict[str | None, Dataset] = {}
 

@@ -33,30 +33,51 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 
-_COMMANDS = ("dtw", "simplify", "mean", "cluster", "oracle", "bench", "gen")
-
-
-#: Type, default and help of the options that only some commands read.
+#: Type and help of the options that only some commands read; their
+#: defaults are `RunConfig`'s.
 OPTIONS = {
-    "p": (float, 1.0, "distance exponent (default 1)"),
-    "q": (float, None, "cost exponent (default: p)"),
-    "ell": (int, 2, "mean complexity budget"),
-    "eps": (float, 1.0, "approximation slack"),
-    "delta": (float, 0.1, "failure probability"),
-    "seed": (int, 0, "RNG seed"),
+    "p": (float, "distance exponent (default 1)"),
+    "q": (float, "cost exponent (default: p)"),
+    "ell": (int, "mean complexity budget"),
+    "eps": (float, "approximation slack"),
+    "delta": (float, "failure probability"),
+    "seed": (int, "RNG seed"),
 }
 
-
-def _command(sub, name: str, summary: str, *options: str) -> argparse.ArgumentParser:
-    """A subcommand with the I/O options and the named `OPTIONS`, in that order."""
-    cmd = sub.add_parser(name, help=summary)
-    cmd.add_argument("--input", required=True, help="dataset file (json or csv)")
-    cmd.add_argument("--output", help="report path; stdout when omitted")
-    cmd.add_argument("--format", choices=FORMATS, help="override format inference")
-    for opt in options:
-        kind, default, text = OPTIONS[opt]
-        cmd.add_argument(f"--{opt}", type=kind, default=default, help=text)
-    return cmd
+#: Every subcommand in help order: its summary, the `OPTIONS` it reads and
+#: its own arguments as `add_argument` keywords.
+COMMANDS = {
+    "dtw": ("distance between the first two sequences", ("p",), {}),
+    "simplify": ("simplify every sequence to <= ell vertices", ("p", "ell"), {}),
+    "mean": ("approximate restricted mean", ("p", "ell", "eps", "delta", "seed"), {
+        "--algo": dict(
+            choices=ALGOS[:-1],  # the oracle has a command of its own
+            default="sample",
+            help="sample: randomized constant factor; net: deterministic constant "
+            "factor; refine: (1+eps) median scheme; dba: averaging baseline",
+        ),
+        "--max-iters": dict(type=int, help="dba iteration cap (default 50; dba only)"),
+    }),
+    "cluster": ("(k, ell, p, q)-clustering", tuple(OPTIONS), {
+        "--algo": dict(choices=("cand1", "cand2"), default="cand1"),
+        "--k": dict(type=int, required=True),
+        "--beta": dict(type=float, required=True),
+    }),
+    "oracle": ("exact desk-scale reference solution", ("p", "q", "ell"), {
+        "--algo": dict(
+            choices=MODES, help="oracle mode; inferred from p, q and the dimension when omitted"
+        ),
+        "--k": dict(type=int, help="cluster instead of mean"),
+    }),
+    # a run list names its own fields, so bench's options default to None:
+    # _cmd_bench fills them for a dataset and refuses them with a run list
+    "bench": ("comparison battery or explicit run list", tuple(OPTIONS), {}),
+    "gen": ("synthesize a dataset from a base sequence", ("seed",), {
+        "--n": dict(type=int, default=8, help="number of sequences"),
+        "--noise": dict(type=float, default=0.1, help="uniform noise half-width"),
+        "--resample": dict(help="MIN,MAX resampled sequence length (default: base length twice)"),
+    }),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -69,60 +90,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="dtwmean",
         description="Restricted-complexity means and clusterings under p-DTW",
     )
-    metavar = "{%s}" % ",".join(_COMMANDS) if command else None
+    metavar = "{%s}" % ",".join(COMMANDS) if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    wanted = {command} if command else set(_COMMANDS)
-    if "dtw" in wanted:
-        _command(sub, "dtw", "distance between the first two sequences", "p")
-    if "simplify" in wanted:
-        _command(sub, "simplify", "simplify every sequence to <= ell vertices", "p", "ell")
-
-    if "mean" in wanted:
-        p_mean = _command(
-            sub, "mean", "approximate restricted mean", "p", "ell", "eps", "delta", "seed"
-        )
-        p_mean.add_argument(
-            "--algo",
-            choices=ALGOS[:-1],  # the oracle has a command of its own
-            default="sample",
-            help="sample: randomized constant factor; net: deterministic constant "
-            "factor; refine: (1+eps) median scheme; dba: averaging baseline",
-        )
-        p_mean.add_argument(
-            "--max-iters", type=int, default=None, help="dba iteration cap (default 50; dba only)"
-        )
-
-    if "cluster" in wanted:
-        p_cluster = _command(sub, "cluster", "(k, ell, p, q)-clustering", *OPTIONS)
-        p_cluster.add_argument("--algo", choices=("cand1", "cand2"), default="cand1")
-        p_cluster.add_argument("--k", type=int, required=True)
-        p_cluster.add_argument("--beta", type=float, required=True)
-
-    if "oracle" in wanted:
-        p_oracle = _command(sub, "oracle", "exact desk-scale reference solution", "p", "q", "ell")
-        p_oracle.add_argument(
-            "--algo",
-            choices=MODES,
-            default=None,
-            help="oracle mode; inferred from p, q and the dimension when omitted",
-        )
-        p_oracle.add_argument("--k", type=int, default=None, help="cluster instead of mean")
-
-    if "bench" in wanted:
-        p_bench = _command(sub, "bench", "comparison battery or explicit run list", *OPTIONS)
-        # a run list names its own fields, so _cmd_bench fills the defaults only
-        # for a dataset and refuses any option given with a run list
-        p_bench.set_defaults(**dict.fromkeys(OPTIONS))
-
-    if "gen" in wanted:
-        p_gen = _command(sub, "gen", "synthesize a dataset from a base sequence", "seed")
-        p_gen.add_argument("--n", type=int, default=8, help="number of sequences")
-        p_gen.add_argument("--noise", type=float, default=0.1, help="uniform noise half-width")
-        p_gen.add_argument(
-            "--resample",
-            default=None,
-            help="MIN,MAX resampled sequence length (default: base length twice)",
-        )
+    for name in [command] if command else COMMANDS:
+        summary, options, arguments = COMMANDS[name]
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("--input", required=True, help="dataset file (json or csv)")
+        cmd.add_argument("--output", help="report path; stdout when omitted")
+        cmd.add_argument("--format", choices=FORMATS, help="override format inference")
+        for opt in options:
+            kind, text = OPTIONS[opt]
+            default = None if name == "bench" else getattr(RunConfig, opt)
+            cmd.add_argument(f"--{opt}", type=kind, default=default, help=text)
+        for flag, spec in arguments.items():
+            cmd.add_argument(flag, **spec)
     return parser
 
 
@@ -155,23 +136,17 @@ def _run_command(args) -> dict:
         args.max_iters = RunConfig.max_iters  # so the config echo names the cap that ran
     T = load_dataset(args.input, args.format)
     start = time.perf_counter()
+    extra = {}
     if args.command == "dtw":
         if T.n < 2:
             raise DomainError("dtw needs at least two sequences in the dataset")
         res = dtw(T.sequences[0], T.sequences[1], args.p)
-        body = {
-            "result": {
-                "distance": res.distance,
-                "warping": [list(pair) for pair in res.warping.pairs],
-            }
-        }
+        result = {"distance": res.distance, "warping": [list(pair) for pair in res.warping.pairs]}
     elif args.command == "simplify":
         results = [simplify(s, args.ell, args.p) for s in T.sequences]
-        body = {
-            "result": {
-                "sequences": [r.sequence.as_list() for r in results],
-                "costs": [r.discrete_cost for r in results],
-            }
+        result = {
+            "sequences": [r.sequence.as_list() for r in results],
+            "costs": [r.discrete_cost for r in results],
         }
     elif args.command == "cluster":
         params = ClusteringParams(
@@ -179,32 +154,25 @@ def _run_command(args) -> dict:
             p=args.p, q=_effective_q(args), ell=args.ell, eps=args.eps,
         )
         res = k_clustering(T, params, generator=args.algo, seed=args.seed)
-        body = {
-            "result": {
-                "centers": [c.as_list() for c in res.centers],
-                "cost": res.cost,
-            }
-        }
+        result = {"centers": [c.as_list() for c in res.centers], "cost": res.cost}
     elif args.command == "oracle" and args.k is not None:
         q = _effective_q(args)
         mode = args.algo or oracle_mode_for(args.p, q, T.dimension)
         centers, total = exact_clustering(T, args.k, args.ell, mode, args.p, q)
-        body = {
-            "result": {
-                "centers": [c.as_list() for c in centers],
-                "cost": total,
-                "mode": mode,
-            }
-        }
+        result = {"centers": [c.as_list() for c in centers], "cost": total, "mode": mode}
     elif args.command == "oracle":
-        body = {"result": solve(T, _run_config(args, "oracle", mode=args.algo))["result"]}
-    else:  # mean
+        result = solve(T, _run_config(args, "oracle", mode=args.algo))["result"]
+    else:  # mean: solve's objective, candidates and flags follow the result
         fields = {"max_iters": args.max_iters} if args.algo == "dba" else {}
-        body = solve(T, _run_config(args, args.algo, **fields))
-    body["command"] = args.command
-    body["config"] = _config_echo(args)
-    body["runtime_ms"] = (time.perf_counter() - start) * 1000.0
-    return body
+        extra = solve(T, _run_config(args, args.algo, **fields))
+        result = extra.pop("result")
+    return {
+        "result": result,
+        **extra,
+        "command": args.command,
+        "config": _config_echo(args),
+        "runtime_ms": (time.perf_counter() - start) * 1000.0,
+    }
 
 
 def _config_echo(args) -> dict:
@@ -223,9 +191,9 @@ def _run_config(args, algo: str, **fields) -> RunConfig:
 def _cmd_bench(args) -> dict:
     source = load_input(args.input, args.format)
     if isinstance(source, Dataset):
-        for opt, (_, default, _) in OPTIONS.items():
+        for opt in OPTIONS:
             if getattr(args, opt) is None:
-                setattr(args, opt, default)
+                setattr(args, opt, getattr(RunConfig, opt))
         configs, dataset = default_battery(_run_config(args, "sample")), source
     else:
         given = [f"--{opt}" for opt in OPTIONS if getattr(args, opt) is not None]
@@ -264,7 +232,7 @@ def _cmd_gen(args) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # help, a missing or unknown command and a leading option need the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         report = _run_command(args)

@@ -24,6 +24,9 @@ class TestRunConfig:
         with pytest.raises(DomainError, match="algo"):
             RunConfig.from_dict({"p": 1.0})
 
+    def test_from_dict_takes_null_for_an_optional_field(self):
+        assert RunConfig.from_dict({"algo": "sample", "q": None}) == RunConfig("sample")
+
 
 class TestDispatch:
     def test_objectives(self):
@@ -71,6 +74,17 @@ class TestBench:
         report = bench(configs, T)
         assert "error" in report["runs"][0]
         assert "result" in report["runs"][1]
+
+    def test_zero_optimum(self):
+        T = Dataset([seq(0, 1), seq(0, 1)])
+        report = bench(default_battery(RunConfig(algo="sample", p=1.0)), T)
+        assert [(row["algo"], row["ratio"], row["flags"]) for row in report["runs"]] == [
+            ("sample", 1.0, ["zero-optimum"]),
+            ("net", 1.0, ["zero-optimum"]),
+            ("refine", 1.0, ["zero-cost-estimate", "zero-optimum"]),
+            ("dba", 1.0, ["zero-optimum"]),
+            ("oracle", 1.0, []),
+        ]
 
     def test_oracle_infeasible_sets_flag_and_null_ratio(self, rng):
         # long sequences push the exact oracle over its enumeration guard

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -197,6 +198,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"--max-iters cannot be given with --algo {algo}" in err
 
+    def test_bench_run_without_a_dataset_aborts_the_batch(self, capsys, tmp_path, dataset_path):
+        # a run's dataset is loaded outside its row, so no report is written
+        path = tmp_path / "batch.json"
+        runs = [{"algo": "sample", "input": dataset_path}, {"algo": "net"}]
+        path.write_text(json.dumps({"runs": runs}))
+        assert main(["bench", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "validation error: run config has no input and no default dataset given\n"
+        )
+
+    def test_bench_run_with_a_missing_input_aborts_the_batch(self, capsys, tmp_path, dataset_path):
+        path = tmp_path / "batch.json"
+        missing = str(tmp_path / "missing.json")
+        runs = [{"algo": "sample", "input": dataset_path}, {"algo": "net", "input": missing}]
+        path.write_text(json.dumps({"runs": runs}))
+        assert main(["bench", "--input", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("i/o error: ") and missing in err
+
     def test_mean_dba_echoes_its_default_cap(self, capsys, dataset_path):
         code, rep = run_cli(capsys, "mean", "--input", dataset_path, "--algo", "dba")
         assert code == 0 and rep["config"]["max_iters"] == 50
@@ -288,6 +309,25 @@ class TestExitCodes:
 
     def test_io_error(self, capsys, tmp_path):
         assert main(["mean", "--input", str(tmp_path / "missing.json")]) == 4
+
+    def test_dtw_needs_two_sequences(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"sequences": [[[0.0], [1.0]]]}))
+        assert main(["dtw", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: dtw needs at least two sequences in the dataset\n"
+        )
+
+    @pytest.mark.parametrize("value", ["3", "a,b"])
+    def test_gen_resample_needs_two_integers(self, capsys, tmp_path, dataset_path, value):
+        out = str(tmp_path / "gen.json")
+        assert main(["gen", "--input", dataset_path, "--output", out, "--resample", value]) == 2
+        assert capsys.readouterr().err == "validation error: --resample expects MIN,MAX integers\n"
+
+    def test_gen_needs_an_output(self, capsys, dataset_path):
+        assert main(["gen", "--input", dataset_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "validation error: gen requires --output for the dataset file\n"
 
 
 @pytest.fixture
@@ -577,6 +617,32 @@ class TestOneCommandParser:
         want = outcome(lambda: cli.build_parser().parse_args(argv))
         assert want[0] != 0 or want[1]  # each case ends in the parser
         assert outcome(lambda: main(argv)) == want
+
+
+def _readme_usage() -> dict[str, set[str]]:
+    """The flags README's "Command line" block gives each command, IO's included."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    usage, name = {}, None
+    for line in block.splitlines():
+        if line.startswith("dtwmean "):
+            name = line.split()[1]
+            usage[name] = set()
+        elif line.startswith("IO ="):
+            io_flags = set(re.findall(r"--[a-z-]+", line))
+            name = None
+        if name is not None:
+            usage[name] |= set(re.findall(r"--[a-z-]+", line))
+    return {name: flags | io_flags for name, flags in usage.items()}
+
+
+def test_readme_usage_names_every_option():
+    usage = _readme_usage()
+    assert list(usage) == list(cli.COMMANDS)
+    for name, flags in usage.items():
+        (parser,) = _subparsers(cli.build_parser(name)).values()
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == options, name
 
 
 def test_module_entry_point_prints_one_line(capsys, tmp_path, dataset_path):

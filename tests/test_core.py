@@ -72,6 +72,22 @@ class TestPointSequence:
         T = Dataset([seq(1, 0), seq(0, 2)])
         assert T.vertex_pool().ravel().tolist() == [1.0, 0.0, 2.0]
 
+    def test_rejects_a_three_axis_array(self):
+        with pytest.raises(DomainError, match=r"\(m, d\) array, got shape \(1, 2, 1\)"):
+            PointSequence(np.zeros((1, 2, 1)))
+
+    def test_item_is_a_vertex_row(self):
+        s = PointSequence([[0.0, 1.0], [2.0, 3.0]])
+        assert s[1].tolist() == [2.0, 3.0]
+
+    def test_equality_and_hash(self):
+        assert (seq(0, 1) == 1) is False
+        assert seq(0, 1) == seq(0, 1) and hash(seq(0, 1)) == hash(seq(0, 1))
+        assert seq(0, 1) != seq(0, 2)
+
+    def test_repr(self):
+        assert repr(seq(0, 1.5)) == "PointSequence([[0.0], [1.5]])"
+
 
 class TestDtw:
     def test_identity_is_zero(self):

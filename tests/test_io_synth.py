@@ -10,6 +10,7 @@ from dtwmean import (
     load_dataset,
     save_dataset,
 )
+from dtwmean.cli import main
 
 from conftest import seq
 
@@ -53,6 +54,28 @@ class TestJson:
         with pytest.raises(DomainError):
             load_dataset(path)
 
+    def test_no_sequences(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"sequences": []}))
+        with pytest.raises(DomainError, match="at least one sequence"):
+            load_dataset(path)
+
+    def test_vertex_must_be_a_list(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"sequences": [[1.0]]}))
+        with pytest.raises(DomainError, match="sequence 0, vertex 0: expected a coordinate list"):
+            load_dataset(path)
+
+    def test_run_list_is_not_a_dataset(self, capsys, tmp_path):
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps({"runs": [{"algo": "sample"}]}))
+        with pytest.raises(DomainError, match="holds a run list, not a dataset"):
+            load_dataset(path)
+        assert main(["dtw", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {path}: holds a run list, not a dataset\n"
+        )
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -84,6 +107,42 @@ class TestCsv:
         path = tmp_path / "d.dat"
         path.write_text("x")
         with pytest.raises(DomainError, match="format"):
+            load_dataset(path)
+
+    def test_explicit_format_overrides_the_suffix(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("seq_id,t,x1\n0,0,1.5\n0,1,2.5\n")
+        back = load_dataset(path, "csv")
+        assert back.sequences[0].vertices.ravel().tolist() == [1.5, 2.5]
+
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"sequences": [[[0.0]]]}))
+        with pytest.raises(DomainError, match="unknown dataset format 'xml'"):
+            load_dataset(path, "xml")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(DomainError, match="d.csv: empty file"):
+            load_dataset(path)
+
+    def test_blank_row_is_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("seq_id,t,x1\n0,0,1.0\n\n0,1,2.0\n")
+        back = load_dataset(path)
+        assert back.n == 1 and back.sequences[0].vertices.ravel().tolist() == [1.0, 2.0]
+
+    def test_non_numeric_cell_names_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("seq_id,t,x1\n0,0,1.0\n0,1,oops\n")
+        with pytest.raises(DomainError, match="row 3: could not convert string to float: 'oops'"):
+            load_dataset(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("seq_id,t,x1\n")
+        with pytest.raises(DomainError, match="d.csv: no vertex rows"):
             load_dataset(path)
 
 

@@ -76,6 +76,10 @@ class TestBallRanges:
         with pytest.raises(DomainError):
             ball_ranges([[1.0], [1.0]])
 
+    def test_three_axis_array_rejected(self):
+        with pytest.raises(DomainError, match=r"points must form an \(n, d\) array"):
+            ball_ranges(np.zeros((2, 2, 1)))
+
 
 class TestEpsilonNet:
     def test_hits_all_heavy_ranges(self, rng):
