@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import checks  # noqa: E402
 import workloads  # noqa: E402

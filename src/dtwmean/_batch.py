@@ -23,7 +23,8 @@ powers overflows, although every table entry fits.
 Most candidate sets are all sequences of length 1..ell over a table of u
 points.  Row r of such a sequence's DTW grid depends only on its first r
 vertices, so `score_tuples` fills each row once per prefix and extends it to
-all u next vertices by broadcasting.
+all u next vertices by broadcasting.  It skips powers of exactly 1 and takes
+the last level's powers in place, since those rows are never extended.
 """
 
 from __future__ import annotations
@@ -86,12 +87,17 @@ def _extend(prev: np.ndarray, D: np.ndarray, full: bool) -> np.ndarray:
     from their (m, P) rows and the next vertices' |v - tau[k]|^p table D:
     (m, 1, u) extends every prefix by all u points (w = u), (m, P, 1) each
     prefix by its own vertex (w = 1).  Unless `full`, only the (1, P*w) end
-    cells, kept in one rolling column."""
+    cells, kept in one rolling column.  Row 1 takes min(prev[0], prev[1])
+    alone: cell (0, new) is prev[0] plus a non-negative distance, never below
+    prev[0] after rounding, so unless `full` it is computed only for m = 1."""
     m, P = prev.shape
     new = np.empty((m if full else 1, P, D.shape[2]))
-    cur = new[0]
-    np.add(prev[0][:, None], D[0], out=cur)
-    for k in range(1, m):
+    if full or m == 1:
+        np.add(prev[0][:, None], D[0], out=new[0])
+    if m > 1:
+        cur = new[1] if full else new[0]
+        np.add(np.minimum(prev[0], prev[1])[:, None], D[1], out=cur)
+    for k in range(2, m):
         nxt = new[k] if full else cur
         np.minimum(np.minimum(prev[k - 1], prev[k])[:, None], cur, out=nxt)
         nxt += D[k]
@@ -116,8 +122,12 @@ def score_tuples(
         # fold the end cells of length-L prefixes start.., then extend them
         if math.isinf(rows[-1].max()):
             raise path_overflow_error(p)
-        end = rows[-1] ** (1.0 / p)
-        end **= q
+        end, fresh = rows[-1], L == ell  # last-level rows are never extended
+        for e in (1.0 / p, q):  # numpy's x ** 1.0 is x
+            if e != 1 and fresh:
+                end **= e
+            elif e != 1:
+                end, fresh = end**e, True
         totals[L - 1][start : start + len(end)] += end
         if L < ell:
             full = L + 1 < ell

@@ -22,15 +22,25 @@ def test_every_script_is_covered():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(ARGS)
 
 
-@pytest.mark.parametrize("script", sorted(ARGS))
-def test_script_exits_0(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def assert_script_exits_0(script: str, env: dict[str, str]) -> None:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script", sorted(ARGS))
+def test_script_exits_0(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    assert_script_exits_0(script, {**os.environ, "PYTHONPATH": path})
+
+
+def test_check_reference_runs_without_pythonpath():
+    # a source checkout with nothing installed: the script finds src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    assert_script_exits_0("check_reference.py", env)
