@@ -23,8 +23,8 @@ powers overflows, although every table entry fits.
 Most candidate sets are all sequences of length 1..ell over a table of u
 points.  Row r of such a sequence's DTW grid depends only on its first r
 vertices, so `score_tuples` fills each row once per prefix and extends it to
-all u next vertices by broadcasting.  It skips powers of exactly 1 and takes
-the last level's powers in place, since those rows are never extended.
+all u next vertices by broadcasting.  Once a level's rows are extended, it
+takes their end cells' powers in place, skipping powers of exactly 1.
 """
 
 from __future__ import annotations
@@ -119,21 +119,21 @@ def score_tuples(
     totals = [np.zeros(u**L) for L in range(1, ell + 1)]
 
     def walk(rows: np.ndarray, D: np.ndarray, L: int, start: int) -> None:
-        # fold the end cells of length-L prefixes start.., then extend them
+        # extend the length-L prefixes start.., then fold their end cells in
+        # place: `rows` is this walk's own array and is no longer read
         if math.isinf(rows[-1].max()):
             raise path_overflow_error(p)
-        end, fresh = rows[-1], L == ell  # last-level rows are never extended
-        for e in (1.0 / p, q):  # numpy's x ** 1.0 is x
-            if e != 1 and fresh:
-                end **= e
-            elif e != 1:
-                end, fresh = end**e, True
-        totals[L - 1][start : start + len(end)] += end
         if L < ell:
             full = L + 1 < ell
             step = max(1, _BLOCK_ELEMENTS // (u * (len(D) if full else 1)))
             for s in range(0, rows.shape[1], step):
                 walk(_extend(rows[:, s : s + step], D, full), D, L + 1, (start + s) * u)
+        end = rows[-1]
+        if p != 1:  # numpy's x ** 1.0 is x
+            end **= 1.0 / p
+        if q != 1:
+            end **= q
+        totals[L - 1][start : start + len(end)] += end
 
     # longer tuples extend by the whole table, so only ell = 1 splits it
     lead = max(1, u if ell > 1 else _BLOCK_ELEMENTS // (T.m * points.shape[1]))

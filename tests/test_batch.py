@@ -1,8 +1,7 @@
 """Differential tests of the batch kernel against the scalar distance layer."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -155,31 +154,36 @@ def tuple_instances(draw):
     return Dataset(seqs), points, ell, p, draw(st.sampled_from((1.0, 1.5, 2.0)))
 
 
-def assert_tuples_match_references(T, points, ell, p, q):
+def tied_grid(m, p, q):
+    """Three length-m sequences over a grid the points share, so that zero
+    distances and exact ties reach the one-row grid (m = 1), row 1 alone
+    (m = 2) and the k >= 2 loop (m = 3), at ell 3."""
+    rng = np.random.default_rng(m)
+    values = np.array([0.0, -0.0, 1.0, -2.5])
+    T = Dataset([PointSequence(rng.choice(values, size=(m, 1))) for _ in range(3)])
+    points = np.concatenate([values[:, None], rng.uniform(-3, 2, size=(2, 1))])
+    return T, points, 3, p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_instances())
+@example(tied_grid(1, 1.0, 1.0))
+@example(tied_grid(2, 1.0, 1.0))
+@example(tied_grid(3, 1.0, 1.0))
+@example(tied_grid(1, 2.0, 1.0))
+@example(tied_grid(2, 2.0, 1.0))
+@example(tied_grid(3, 2.0, 1.0))
+@example(tied_grid(1, 1.5, 2.0))
+@example(tied_grid(2, 1.5, 2.0))
+@example(tied_grid(3, 1.5, 2.0))
+def test_score_tuples_equal_score_candidates_bit_for_bit(inst):
+    T, points, ell, p, q = inst
     got = score_tuples(T, points, ell, p, q)
     assert len(got) == ell
     for L, block in enumerate(enumerate_tuples(points, ell), 1):
         assert np.array_equal(_bits(got[L - 1]), _bits(score_candidates(T, block, p, q)))
         # an independent recurrence, not the `_extend` both walks share
         assert np.array_equal(_bits(got[L - 1]), _bits(reference_score_block(T, block, p, q)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(tuple_instances())
-def test_score_tuples_equal_score_candidates_bit_for_bit(inst):
-    assert_tuples_match_references(*inst)
-
-
-@pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 1.0), (1.5, 2.0)])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_score_tuples_on_tied_grids_equal_reference_recurrence(m, p, q):
-    # m = 1 is the one-row grid, m = 2 row 1 alone, m = 3 the k >= 2 loop;
-    # grid vertices make zero distances and exact ties between DP cells
-    rng = np.random.default_rng(m)
-    values = np.array([0.0, -0.0, 1.0, -2.5])
-    T = Dataset([PointSequence(rng.choice(values, size=(m, 1))) for _ in range(3)])
-    points = np.concatenate([values[:, None], rng.uniform(-3, 2, size=(2, 1))])
-    assert_tuples_match_references(T, points, 3, p, q)
 
 
 def test_score_tuples_chunks_like_one_block(monkeypatch):
