@@ -17,18 +17,17 @@ generator's per-subset guarantee to apply.
 Both generators only ever emit sequences of input vertices, so the search
 runs on a point table: the dataset's vertex pool (`Dataset.point_table`)
 with every input sequence held as an array of pool ids.  A candidate is a
-tuple of pool ids; its row of dtw_p(c, tau)^q over the dataset is scored
-once, batched by length through `_batch.cost_rows`, and looked up by the
-tuple after that.  Nodes one center short of k take all of their children
-in one vectorized step.  Only the returned centers are built as
-`PointSequence`s.
+tuple of pool ids whose row of dtw_p(c, tau)^q over the dataset is scored
+once through `_batch.cost_rows`.  The nodes one center short of k are walked
+with only their draws, then folded in numpy a block of nodes at a time, so
+that no per-node Python touches their candidates.  Only the returned
+centers are built as `PointSequence`s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -42,10 +41,13 @@ from .core import (
     dedup_rows,
 )
 from .errors import CapacityError, DomainError, require
-from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
+from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples, tuple_count
 from .simplify import _anchors
 
 NODE_GUARD = 1_000_000
+
+#: a block of walked nodes is folded once nodes x most candidates x sequences reaches this
+_FOLD_ELEMENTS = 12288
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,18 @@ def cand2_sample_size(beta: float, delta: float) -> int:
 def _cand1(
     pool_ids: np.ndarray, m: int, beta: float, delta: float, eps: float, p: float,
     ell: int, rng,
-) -> list[tuple[int, ...]]:
-    """All tuples of length 1..ell over a sample of `pool_ids`, as pool-id tuples.
+) -> list[int]:
+    """Distinct draws from `pool_ids`, in first-draw order: the candidates are
+    all their tuples of length 1..ell, by length, then lexicographic.
 
     `pool_ids` is the vertex pool of the sequences in play (distinct ids in
-    first-occurrence order) and `m` their largest complexity.  The tuples come
-    by length, then lexicographic in sample order.
+    first-occurrence order) and `m` their largest complexity.
     """
     size = guard_draws(cand1_sample_size(beta, delta, eps, p, m, ell))
     draws = rng.integers(0, len(pool_ids), size=size)
     sample = list(dict.fromkeys(pool_ids[draws].tolist()))
     guard_tuples(len(sample), ell, CANDIDATE_GUARD)
-    return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
+    return sample
 
 
 def _cand2(
@@ -168,63 +170,97 @@ def k_clustering(
     one center exists) on discarding the ceil(|active| * (1 - 2k/beta))
     active points closest to the current centers.  Costs are always accounted
     over the full dataset; the returned cost is the minimum over all complete
-    center sets explored.
+    center sets explored, the first found in depth-first order on ties.
 
-    The search runs on the dataset's point table: a node's vertex pool is the
-    first-occurrence union of its active sequences' pool ids, and every
-    candidate is a tuple of pool ids.  A candidate's row of dtw_p(c, tau)^q
-    over the dataset is scored once, batched by length through
-    `_batch.cost_rows`, and looked up by its id tuple after that.  A node
-    with k - 1 centers takes all of its children (the leaves) in one step,
-    min(dmin, row) summed per candidate, and keeps the first cheapest; each
-    leaf still counts as one node against `NODE_GUARD`.  Centers become
-    sequences only in the returned `CenterSet`, whose `nodes` and
-    `rows_scored` count the search nodes and the distinct candidate rows
-    scored.
+    Per node the search draws and counts against `NODE_GUARD` (once, and
+    once per leaf child).  Nodes with fewer than k - 1 centers then score
+    their candidates and recurse.  Below a node with k - 2 centers (the root
+    if k = 1), each child and its discard descendants form a chain that keeps
+    the child's dmin, so all chains' active sets come up front, one stable
+    argsort per depth.  The chains are walked in depth-first order and
+    folded in blocks (`_FOLD_ELEMENTS`): a block's candidate rows are
+    resolved at once, the new ones scored node by node, shortest first, and
+    its nodes recorded in walk order by their first cheapest candidate.  If
+    the walk raises, the nodes walked so far are scored first, so an overflow
+    `DomainError` still precedes any later node's error.  `nodes` and
+    `rows_scored` count the search nodes and the distinct rows scored.
     """
     require(generator in ("cand1", "cand2"), f"unknown generator {generator!r}")
     k, beta, p, q, ell = params.k, params.beta, params.p, params.q, params.ell
     rng = np.random.default_rng(seed)
     delta_node = params.delta / (k + 1)
     table = _PointTable(T, p, ell)
-    seq_ids = table.seq_ids
+    seq_ids, P = table.seq_ids, len(table.points)
 
-    row_at: dict[tuple[int, ...], int] = {}  # candidate -> its row in `rows`
-    rows = np.empty((0, T.n))
+    keys, rows = [], np.empty((0, T.n))  # row r of `rows` scores candidate keys[r]
+    # cand1: length -> sorted codes and their rows, topped by a sentinel code,
+    # a tuple's code being its prefix's row * P + its last id; cand2: tuple -> row
+    index, top = {}, (np.array([np.iinfo(np.intp).max]), np.array([-1]))
 
-    def rows_of(cands: list[tuple[int, ...]]) -> np.ndarray:
+    def resolve_tuples(samples: list[list[int]], jobs: list) -> np.ndarray:
+        # the samples padded with -1 to one width u: entry e of a node's
+        # length-L row has prefix e // u and last id e % u, so without the
+        # padded entries each node's tuples come by length, then lexicographic
+        u = max(map(len, samples))
+        ids = np.array([s + [-1] * (u - len(s)) for s in samples])
+        ok, prev, parts = np.ones((len(ids), 1), bool), np.zeros((len(ids), 1), np.intp), []
+        for L in range(1, ell + 1):
+            ok = (ok[:, :, None] & (ids >= 0)[:, None, :]).reshape(len(ids), -1)
+            codes = (prev[:, :, None] * P + ids[:, None, :]).reshape(len(ids), -1)[ok]
+            ks, rs = index.get(L, top)
+            pos = ks.searchsorted(codes)
+            miss = np.flatnonzero(ks[pos] != codes)
+            if len(miss):
+                miss = np.sort(miss[np.unique(codes[miss], return_index=True)[1]])
+                node, e = np.divmod(np.flatnonzero(ok)[miss], ok.shape[1])
+                got = np.arange(len(keys), len(keys) + len(miss))
+                keys.extend([(keys[r] if L > 1 else ()) + (v,) for r, v in
+                             zip(prev[node, e // u].tolist(), ids[node, e % u].tolist())])
+                jobs += [(j, L, got[node == j]) for j in dict.fromkeys(node.tolist())]
+                ks, rs = np.concatenate([ks, codes[miss]]), np.concatenate([rs, got])
+                ks, rs = index[L] = ks[order := ks.argsort(kind="stable")], rs[order]
+                pos = ks.searchsorted(codes)
+            prev = np.zeros(ok.shape, np.intp)
+            prev[ok] = rs[pos]
+            parts.append((prev, ok))
+        return np.concatenate([r for r, _ in parts], 1)[np.concatenate([o for _, o in parts], 1)]
+
+    def resolve_found(founds: list[dict], jobs: list) -> np.ndarray:
+        for j, found in enumerate(founds):
+            new = [c for c in found if c not in index]
+            for L in sorted({len(c) for c in new}):
+                group = [c for c in new if len(c) == L]
+                index.update(zip(group, range(len(keys), len(keys) + len(group))))
+                jobs.append((j, L, [index[c] for c in group]))
+                keys.extend(group)
+        return np.array([index[c] for found in founds for c in found], dtype=np.intp)
+
+    def resolve(draws: list) -> np.ndarray:
+        """Rows of consecutive nodes' candidates; new ones scored node by node."""
         nonlocal rows
-        new = [c for c in cands if c not in row_at]
-        need = len(row_at) + len(new)
-        if need > len(rows):
-            rows = np.concatenate([rows, np.empty((need, T.n))])
-        for L in sorted({len(c) for c in new}):
-            group = [c for c in new if len(c) == L]
-            start = len(row_at)
-            rows[start : start + len(group)] = cost_rows(
-                T, table.points[np.array(group)], p, q
-            )
-            row_at.update((c, start + j) for j, c in enumerate(group))
-        return rows[[row_at[c] for c in cands]]
+        jobs: list = []
+        rid = (resolve_tuples if generator == "cand1" else resolve_found)(draws, jobs)
+        if len(keys) > len(rows):
+            rows = np.concatenate([rows, np.empty((len(keys) - len(rows), T.n))])
+        for _, _, got in sorted(jobs, key=lambda job: job[:2]):
+            rows[got] = cost_rows(T, table.points[np.array([keys[r] for r in got])], p, q)
+        return rid
 
     pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
 
-    def generate(active: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list]:
-        """Candidates at a node, and per candidate the sequences its vertices
-        are copied from when it becomes a returned center."""
+    def generate(active: tuple[int, ...]) -> tuple:
+        """A node's draw, the sample (cand1) or the simplifications found
+        (cand2); the source of its centers' vertices; its candidate count."""
         if generator == "cand2":
             found = _cand2(active, table.simplified, beta, delta_node, rng)
-            return list(found), [(i,) for i in found.values()]
+            return found, found, len(found)
         if active not in pools:
             ids = np.concatenate([seq_ids[i] for i in active])
             pools[active] = (dedup_rows(ids), max(len(seq_ids[i]) for i in active))
-        pool_ids, m = pools[active]
-        cands = _cand1(pool_ids, m, beta, delta_node, params.eps, p, ell, rng)
-        return cands, [active] * len(cands)
+        sample = _cand1(*pools[active], beta, delta_node, params.eps, p, ell, rng)
+        return sample, active, tuple_count(len(sample), ell, CANDIDATE_GUARD)
 
-    best_cost = math.inf
-    best_centers: list | None = None
-    nodes = 0
+    best, nodes = [math.inf, []], 0  # the first cheapest leaf (cost, centers); nodes seen
 
     def count_nodes(count: int) -> None:
         nonlocal nodes
@@ -232,41 +268,65 @@ def k_clustering(
         if nodes > NODE_GUARD:
             raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
 
-    def record(centers: list, total: float) -> None:
-        nonlocal best_cost, best_centers
-        if total < best_cost:
-            best_cost = total
-            best_centers = list(centers)
+    def fold(block: list, heads: list, D: np.ndarray) -> None:
+        """Record walked nodes in order: by first cheapest candidate, or dmin sum."""
+        drawn = [b for b in block if b[2] is not None]
+        if drawn:
+            rid, sizes = resolve([b[2] for b in drawn]), [b[3] for b in drawn]
+            totals, ends = rows.take(rid, axis=0), np.cumsum(sizes)
+            starts, lo = ends - sizes, 0  # a chain's nodes are consecutive and share its dmin
+            for s, hi in {b[0]: end for b, end in zip(drawn, ends.tolist())}.items():
+                np.minimum(D[s], totals[lo:hi], out=totals[lo:hi])
+                lo = hi
+            totals = totals.sum(axis=1)
+            firsts = iter(zip(starts.tolist(), np.minimum.reduceat(totals, starts).tolist()))
+        for s, src, draw, K in block:
+            if draw is None:
+                if (total := float(D[s].sum())) < best[0]:
+                    best[:] = total, heads[s]
+                continue
+            lo, total = next(firsts)
+            if total < best[0]:
+                i = lo + int(np.argmin(totals[lo : lo + K]))
+                best[:] = total, heads[s] + [(keys[rid[i]], src)]
 
-    def recurse(centers: list, dmin: np.ndarray | None, active: tuple[int, ...]) -> None:
-        count_nodes(1)
-        if len(centers) == k or not active:
-            if dmin is not None:
-                record(centers, float(dmin.sum()))
-            return
-        cands, srcs = generate(active)
-        R = rows_of(cands)
-        if len(centers) == k - 1:
-            count_nodes(len(cands))
-            totals = (R if dmin is None else np.minimum(dmin, R)).sum(axis=1)
-            i = int(np.argmin(totals))
-            record(centers + [(cands[i], srcs[i])], float(totals[i]))
-        else:
-            for c, src, row in zip(cands, srcs, R):
-                centers.append((c, src))
-                recurse(centers, row if dmin is None else np.minimum(dmin, row), active)
-                centers.pop()
-        if centers:
-            n_rm = math.ceil(len(active) * (1.0 - 2.0 * k / beta))
-            act = np.array(active)
-            keep = act[np.argsort(dmin[act], kind="stable")[n_rm:]]
-            recurse(centers, dmin, tuple(np.sort(keep).tolist()))
+    def chains(heads: list, D: np.ndarray, active: np.ndarray, depth: int) -> None:
+        """Walk, depth first, the chains of the children (`depth` centers) of
+        one node: chain s is the child with centers heads[s] and dmin D[s] and
+        its discard descendants.  Nodes of k - 1 centers are folded in blocks."""
+        acts = [np.tile(active, (len(D), 1))]
+        while depth and (act := acts[-1]).shape[1]:
+            # less the ceil(|act| * (1 - 2k/beta)) of least dmin, the first on ties
+            n_rm = math.ceil(act.shape[1] * (1.0 - 2.0 * k / beta))
+            order = np.argsort(np.take_along_axis(D, act, 1), axis=1, kind="stable")
+            acts.append(np.sort(np.take_along_axis(act, order[:, n_rm:], 1), axis=1))
+        block, kmax = [], 0
+        try:
+            for s in range(len(D)):
+                for act in acts:
+                    count_nodes(1)
+                    a = tuple(act[s].tolist())
+                    draw, src, K = generate(a) if a else (None, None, 0)
+                    if folded := not a or depth == k - 1:
+                        block.append((s, src, draw, K))
+                        count_nodes(K)
+                        kmax = max(kmax, K)
+                    if not folded or len(block) * kmax * T.n >= _FOLD_ELEMENTS:
+                        full, block, kmax = block, [], 0
+                        fold(full, heads, D)
+                    if not folded:
+                        rid = resolve([draw])
+                        sub = [heads[s] + [(keys[r], src)] for r in rid.tolist()]
+                        chains(sub, np.minimum(D[s], rows[rid]), act[s], depth + 1)
+        finally:
+            fold(block, heads, D)
 
-    recurse([], None, tuple(range(T.n)))
-    assert best_centers is not None
+    # the root, no center and dmin inf (min(inf, row) is the row), is a chain
+    chains([[]], np.full((1, T.n), math.inf), np.arange(T.n), 0)
+    chains = None  # no cycle through the recursion, so the search's arrays go at once
     return CenterSet(
-        centers=[table.sequence(c, src) for c, src in best_centers],
-        cost=best_cost,
+        centers=[table.sequence(c, (s[c],) if generator == "cand2" else s) for c, s in best[1]],
+        cost=best[0],
         nodes=nodes,
-        rows_scored=len(row_at),
+        rows_scored=len(keys),
     )

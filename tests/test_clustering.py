@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -66,9 +67,11 @@ class TestSampleSizes:
 
 
 def cand1_ids(T, beta, delta, eps, p, ell, seed):
-    """The pool-id tuples `k_clustering`'s cand1 generator draws at its root."""
+    """The pool-id tuples `k_clustering`'s cand1 generator draws at its root:
+    all tuples of length 1..ell over the sample, by length, then lexicographic."""
     pool_ids = np.arange(len(T.vertex_pool()))
-    return _cand1(pool_ids, T.m, beta, delta, eps, p, ell, np.random.default_rng(seed))
+    sample = _cand1(pool_ids, T.m, beta, delta, eps, p, ell, np.random.default_rng(seed))
+    return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
 
 
 class TestCandidateGenerators:
