@@ -5,26 +5,24 @@ candidate set.  This module runs the tiny DTW dynamic program across the
 whole candidate axis with numpy, through one recurrence, `_extend`, over
 tables from `core.pow_dist_matrix`, chunked to keep intermediates small.
 Every DP end cell equals scalar `dtw`'s p-th-power distance bit for bit.
-The entry points differ only in how they take the final powers:
+There are two entry points:
 
-* `cost_rows`, which keeps one entry per input sequence, takes them with
-  Python float ``**`` as scalar `dtw` does, so each entry is bit-identical
-  to ``dtw(c, tau, p).distance ** q``;
-* `score_candidates` and `score_tuples` take numpy array powers and add
-  them up in sequence order, so their scores are bit-identical to each
-  other (numpy's array ``**`` rounds differently from Python's in the last
-  bit for some elements).
+* `score_candidates` scores a listed (K, L, d) candidate array and keeps
+  one entry per input sequence, its powers taken with Python float ``**``
+  as scalar `dtw` takes them, so each entry is bit-identical to
+  ``dtw(c, tau, p).distance ** q``;
+* `score_tuples` scores every sequence of length 1..ell over a table of u
+  points.  Row r of such a sequence's DTW grid depends only on its first r
+  vertices, so it fills each row once per prefix and extends it to all u
+  next vertices by broadcasting.  Once a level's rows are extended, it takes
+  their end cells' powers in place with numpy, skipping powers of exactly 1,
+  and adds them up in sequence order (numpy's array ``**`` rounds
+  differently from Python's in the last bit for some elements).
 
-All three raise DomainError, without a numpy warning, when a q-th power
-overflows float64; the two that add powers up also raise when a sum does.
-All three also raise, with one message, when a DP path sum of p-th
-powers overflows, although every table entry fits.
-
-Most candidate sets are all sequences of length 1..ell over a table of u
-points.  Row r of such a sequence's DTW grid depends only on its first r
-vertices, so `score_tuples` fills each row once per prefix and extends it to
-all u next vertices by broadcasting.  Once a level's rows are extended, it
-takes their end cells' powers in place, skipping powers of exactly 1.
+Both raise DomainError, without a numpy warning, when a q-th power
+overflows float64 (`score_tuples` also when a sum does), and, with one
+message, when a DP path sum of p-th powers overflows although every table
+entry fits.
 """
 
 from __future__ import annotations
@@ -39,11 +37,11 @@ from .core import Dataset, _q_powers, path_overflow_error, pow_dist_matrix, q_ov
 _BLOCK_ELEMENTS = 4_000_000
 
 
-def _listed_ends(T: Dataset, cands: np.ndarray, p: float) -> np.ndarray:
-    """(n, K) DP end cells, the p-th-power DTW distances, of a (K, L, d)
-    candidate array against every sequence of T; DomainError if one is inf."""
+def score_candidates(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
+    """(K, n) matrix of dtw_p(c, tau)^q for a (K, L, d) candidate array,
+    each entry equal to scalar ``dtw(c, tau, p).distance ** q`` bit for bit."""
     K, L, d = cands.shape
-    ends = np.empty((T.n, K))
+    out = np.empty((K, T.n))
     step = max(1, _BLOCK_ELEMENTS // (L * T.m * d))
     # a path sum may overflow although every table entry fits
     with np.errstate(over="ignore"):
@@ -55,30 +53,11 @@ def _listed_ends(T: Dataset, cands: np.ndarray, p: float) -> np.ndarray:
                 rows = np.cumsum(D[:, :, 0], axis=0)
                 for i in range(1, L):
                     rows = _extend(rows, D[:, :, i, None], i + 1 < L)
-                ends[j, s : s + step] = rows[-1]
-    if math.isinf(ends.max(initial=0.0)):
+                out[s : s + step, j] = rows[-1]
+    if math.isinf(out.max(initial=0.0)):
         raise path_overflow_error(p)
-    return ends
-
-
-def score_candidates(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
-    """cost_p^q scores for a (K, L, d) candidate array."""
-    total = np.zeros(len(cands))
-    # the terms are non-negative, so any inf term leaves an inf total
-    with np.errstate(over="ignore"):
-        for end in _listed_ends(T, cands, p):
-            total += (end ** (1.0 / p)) ** q
-    if math.isinf(total.max(initial=0.0)):
-        raise q_overflow_error(q)
-    return total
-
-
-def cost_rows(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.ndarray:
-    """(K, n) matrix of dtw_p(c, tau)^q for a (K, L, d) candidate array,
-    each entry equal to scalar ``dtw(c, tau, p).distance ** q`` bit for bit."""
-    out = np.empty((len(cands), T.n))
-    for j, end in enumerate(_listed_ends(T, cands, p)):
-        out[:, j] = _q_powers(end, p, q)
+    for j in range(T.n):
+        out[:, j] = _q_powers(out[:, j], p, q)
     return out
 
 
@@ -111,9 +90,9 @@ def score_tuples(
     """cost_p^q of every sequence of length 1..ell over a (u, d) point table.
 
     Returns one (u^L,) array per L = 1..ell, in lexicographic index order:
-    entry i scores ``points[np.unravel_index(i, (u,) * L)]``.  Bit-identical
-    to `score_candidates` on the materialized tuples.  Chunked over leading
-    prefixes so that no block of DP rows exceeds `_BLOCK_ELEMENTS`.
+    entry i scores ``points[np.unravel_index(i, (u,) * L)]``, the sum over
+    the sequences, in order, of numpy powers of its DP end cells.  Chunked
+    over leading prefixes so that no block of DP rows exceeds `_BLOCK_ELEMENTS`.
     """
     u = len(points)
     totals = [np.zeros(u**L) for L in range(1, ell + 1)]
@@ -137,11 +116,14 @@ def score_tuples(
 
     # longer tuples extend by the whole table, so only ell = 1 splits it
     lead = max(1, u if ell > 1 else _BLOCK_ELEMENTS // (T.m * points.shape[1]))
-    with np.errstate(over="ignore"):
-        for lo in range(0, u, lead):
-            for tau in T.sequences:
-                D = pow_dist_matrix(tau.vertices, points[lo : lo + lead], p)
-                walk(np.cumsum(D, axis=0), D[:, None, :], 1, lo)
+    try:
+        with np.errstate(over="ignore"):
+            for lo in range(0, u, lead):
+                for tau in T.sequences:
+                    D = pow_dist_matrix(tau.vertices, points[lo : lo + lead], p)
+                    walk(np.cumsum(D, axis=0), D[:, None, :], 1, lo)
+    finally:
+        walk = None  # no cycle through the recursion, so `totals` goes at once
     # the terms are non-negative, so any inf term leaves an inf total
     for total in totals:
         if math.isinf(total.max(initial=0.0)):

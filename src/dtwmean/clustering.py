@@ -18,10 +18,10 @@ Both generators only ever emit sequences of input vertices, so the search
 runs on a point table: the dataset's vertex pool (`Dataset.point_table`)
 with every input sequence held as an array of pool ids.  A candidate is a
 tuple of pool ids whose row of dtw_p(c, tau)^q over the dataset is scored
-once through `_batch.cost_rows`.  The nodes one center short of k are walked
-with only their draws, then folded in numpy a block of nodes at a time, so
-that no per-node Python touches their candidates.  Only the returned
-centers are built as `PointSequence`s.
+once through `_batch.score_candidates`.  The nodes one center short of k
+are walked with only their draws, then folded in numpy a block of nodes at
+a time, so that no per-node Python touches their candidates.  Only the
+returned centers are built as `PointSequence`s.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import cost_rows
+from ._batch import score_candidates
 from .core import (
     Dataset,
     PointSequence,
@@ -39,6 +39,7 @@ from .core import (
     _fold,
     _pow_ends,
     dedup_rows,
+    q_overflow_error,
 )
 from .errors import CapacityError, DomainError, require
 from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples, tuple_count
@@ -182,8 +183,9 @@ def k_clustering(
     resolved at once, the new ones scored node by node, shortest first, and
     its nodes recorded in walk order by their first cheapest candidate.  If
     the walk raises, the nodes walked so far are scored first, so an overflow
-    `DomainError` still precedes any later node's error.  `nodes` and
-    `rows_scored` count the search nodes and the distinct rows scored.
+    `DomainError` still precedes any later node's error, and if every leaf's
+    total overflows, the search raises as `clustering_cost` does.  `nodes`
+    and `rows_scored` count the search nodes and the distinct rows scored.
     """
     require(generator in ("cand1", "cand2"), f"unknown generator {generator!r}")
     k, beta, p, q, ell = params.k, params.beta, params.p, params.q, params.ell
@@ -243,7 +245,7 @@ def k_clustering(
         if len(keys) > len(rows):
             rows = np.concatenate([rows, np.empty((len(keys) - len(rows), T.n))])
         for _, _, got in sorted(jobs, key=lambda job: job[:2]):
-            rows[got] = cost_rows(T, table.points[np.array([keys[r] for r in got])], p, q)
+            rows[got] = score_candidates(T, table.points[np.array([keys[r] for r in got])], p, q)
         return rid
 
     pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
@@ -268,6 +270,7 @@ def k_clustering(
         if nodes > NODE_GUARD:
             raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
 
+    @np.errstate(over="ignore")  # a sum that overflows is an inf total, never the best
     def fold(block: list, heads: list, D: np.ndarray) -> None:
         """Record walked nodes in order: by first cheapest candidate, or dmin sum."""
         drawn = [b for b in block if b[2] is not None]
@@ -324,6 +327,8 @@ def k_clustering(
     # the root, no center and dmin inf (min(inf, row) is the row), is a chain
     chains([[]], np.full((1, T.n), math.inf), np.arange(T.n), 0)
     chains = None  # no cycle through the recursion, so the search's arrays go at once
+    if best[0] == math.inf:
+        raise q_overflow_error(q)
     return CenterSet(
         centers=[table.sequence(c, (s[c],) if generator == "cand2" else s) for c, s in best[1]],
         cost=best[0],

@@ -120,7 +120,8 @@ def _range_masks(points) -> tuple[np.ndarray, int]:
             combos = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
             for s in range(0, len(combos), chunk):
                 found.append(_sphere_ranges(Y, combos[s : s + chunk], bit))
-    return np.unique(np.concatenate(found)), n
+    # with an index output np.unique does not import numpy.ma (about 1 MB)
+    return np.unique(np.concatenate(found), return_index=True)[0], n
 
 
 def _incidence(masks: np.ndarray, n: int) -> np.ndarray:

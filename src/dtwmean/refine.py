@@ -1,12 +1,14 @@
 """(1 + eps)-approximation of the restricted (p, 1)-mean in Euclidean space.
 
 The search works at a ladder of cost scales.  A few sampled input sequences
-are simplified to get a rough cost estimate R; halving R down for a bounded
-number of rungs guarantees one rung r with n*r within a factor two of the
-optimal cost.  At that rung, a grid of cell width proportional to eps*r laid
-over balls around a sampled sequence close to the optimum contains, vertex by
-vertex, a snapped copy of the optimal mean, so enumerating all short
-sequences of grid points and keeping the cheapest yields the guarantee.
+are simplified; their least cost, folded as `cost` folds it, is a rough
+estimate R, so a result won by a simplification reports its `cost` bit for
+bit.  Halving R down for a bounded number of rungs guarantees one rung r
+with n*r within a factor two of the optimal cost.  At that rung, a grid of
+cell width proportional to eps*r laid over balls around a sampled sequence
+close to the optimum contains, vertex by vertex, a snapped copy of the
+optimal mean, so enumerating all short sequences of grid points and keeping
+the cheapest yields the guarantee.
 
 Sequences are sampled with replacement, so the same cover recurs.  A rung
 builds and scores each distinct sampled sequence's cover once, as soon as it
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import argmin_fold, score_candidates, tuple_groups
-from .core import Dataset, PointSequence
+from ._batch import argmin_fold, tuple_groups
+from .core import Dataset, PointSequence, _distances, _fold, _pow_ends
 from .errors import CapacityError, require
 from .meanapprox import MeanResult, tuple_count
 from .simplify import simplify
@@ -134,7 +136,8 @@ def med_appr(
     """(1 + eps)-approximate restricted (p, 1)-mean, success probability 1 - delta.
 
     Ties in the final argmin resolve to the first candidate in enumeration
-    order (sampled simplifications first, then grid tuples rung by rung).
+    order (sampled simplifications first, shortest first, then in draw order;
+    then grid tuples rung by rung).
     `candidates_scored` counts every enumerated tuple, those of a repeated
     draw included.  Covers are scored as they are built, so a score that
     overflows raises DomainError before a later rung can exceed the guard.
@@ -153,17 +156,10 @@ def med_appr(
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, n, size=estimate_sample_count(delta)).tolist()
-    sampled = [T.sequences[i] for i in draws]
-
-    simp_blocks: dict[int, list[np.ndarray]] = {}
-    for tau in sampled:
-        s = simplify(tau, ell, p).sequence.vertices
-        simp_blocks.setdefault(len(s), []).append(s)
-    simp_groups = [np.stack(rows) for _, rows in sorted(simp_blocks.items())]
-    R, winner = argmin_fold(
-        (score_candidates(T, block, p, 1.0), block.__getitem__) for block in simp_groups
-    )
-    total = sum(b.shape[0] for b in simp_groups)
+    simps = sorted((simplify(T.sequences[i], ell, p).sequence for i in draws), key=len)
+    costs = [_fold(_distances(ends, p), 1.0) for ends in _pow_ends(simps, T.sequences, p)]
+    R = min(costs)
+    winner, total = simps[costs.index(R)].vertices, len(simps)
     if R == 0.0:
         # a sampled simplification already has zero cost, hence is optimal
         return MeanResult(

@@ -1,12 +1,15 @@
 """Differential tests of the batch kernel against the scalar distance layer."""
 
+import gc
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dtwmean import Dataset, PointSequence, cost, dtw
-from dtwmean._batch import cost_rows, score_candidates, score_tuples
+from dtwmean import Dataset, DomainError, PointSequence, cost, dtw
+from dtwmean._batch import score_candidates, score_tuples
 from dtwmean.meanapprox import enumerate_tuples
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -62,48 +65,26 @@ def reference_score_block(T: Dataset, cands: np.ndarray, p: float, q: float) -> 
 @given(instances())
 def test_listed_scores_equal_reference_recurrence_bit_for_bit(inst):
     T, cands, p, q = inst
-    assert np.array_equal(
-        _bits(score_candidates(T, cands, p, q)), _bits(reference_score_block(T, cands, p, q))
-    )
     want = np.array(
         [
             [(a ** (1.0 / p)) ** q for a in reference_dtw_pow_block(tau.vertices, cands, p).tolist()]
             for tau in T.sequences
         ]
     ).T
-    assert np.array_equal(_bits(cost_rows(T, cands, p, q)), _bits(want))
+    assert np.array_equal(_bits(score_candidates(T, cands, p, q)), _bits(want))
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
-def test_cost_rows_equal_scalar_dtw_bit_for_bit(inst):
+def test_score_candidates_equal_scalar_dtw_bit_for_bit(inst):
     T, cands, p, q = inst
-    R = cost_rows(T, cands, p, q)
+    R = score_candidates(T, cands, p, q)
     assert R.shape == (len(cands), T.n)
     for i, c in enumerate(cands):
         for j, tau in enumerate(T.sequences):
             assert R[i, j].hex() == (dtw(c, tau, p).distance ** q).hex()
-
-
-@settings(max_examples=150, deadline=None)
-@given(instances())
-def test_score_candidates_matches_summed_scalar_cost(inst):
-    T, cands, p, q = inst
-    batch = score_candidates(T, cands, p, q)
-    scalar = np.array([cost(T, c, p, q) for c in cands])
-    np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0)
-    assert np.argmin(batch) == np.argmin(scalar)
-
-
-def test_cost_rows_chunks_like_one_block(monkeypatch):
-    import dtwmean._batch as batch
-
-    rng = np.random.default_rng(3)
-    T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 2))) for m in (2, 4, 3)])
-    cands = rng.uniform(0, 5, size=(7, 2, 2))
-    whole = cost_rows(T, cands, 1.5, 3.0)
-    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 8)  # one candidate per chunk
-    assert np.array_equal(cost_rows(T, cands, 1.5, 3.0), whole)
+        # a row added up in sequence order is the candidate's cost
+        assert sum(R[i].tolist()).hex() == cost(T, c, p, q).hex()
 
 
 def test_score_candidates_chunks_like_one_block(monkeypatch):
@@ -124,12 +105,12 @@ def test_listed_chunks_count_the_dimension(monkeypatch):
     rng = np.random.default_rng(4)
     T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 3))) for m in (2, 4)])
     cands = rng.uniform(0, 5, size=(5, 2, 3))
-    whole = cost_rows(T, cands, 2.0, 1.0)
+    whole = score_candidates(T, cands, 2.0, 1.0)
     # two candidates' L * m * d = 24 table entries fit per chunk, and the
     # distance guard admits exactly those
     monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 48)
     monkeypatch.setattr(core, "DISTANCE_GUARD", 48)
-    assert np.array_equal(cost_rows(T, cands, 2.0, 1.0), whole)
+    assert np.array_equal(score_candidates(T, cands, 2.0, 1.0), whole)
 
 
 grid = st.sampled_from((0.0, -0.0, 1.0, -2.5))
@@ -176,13 +157,12 @@ def tied_grid(m, p, q):
 @example(tied_grid(1, 1.5, 2.0))
 @example(tied_grid(2, 1.5, 2.0))
 @example(tied_grid(3, 1.5, 2.0))
-def test_score_tuples_equal_score_candidates_bit_for_bit(inst):
+def test_score_tuples_equal_reference_recurrence_bit_for_bit(inst):
     T, points, ell, p, q = inst
     got = score_tuples(T, points, ell, p, q)
     assert len(got) == ell
     for L, block in enumerate(enumerate_tuples(points, ell), 1):
-        assert np.array_equal(_bits(got[L - 1]), _bits(score_candidates(T, block, p, q)))
-        # an independent recurrence, not the `_extend` both walks share
+        # an independent recurrence, not the `_extend` both kernels share
         assert np.array_equal(_bits(got[L - 1]), _bits(reference_score_block(T, block, p, q)))
 
 
@@ -199,3 +179,24 @@ def test_score_tuples_chunks_like_one_block(monkeypatch):
     for ell, want in zip((1, 3), whole):
         got = score_tuples(T, points, ell, 1.5, 2.0)
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e154])
+def test_score_tuples_leaves_no_garbage(scale):
+    # its recursive walk must not stay a reference cycle, which would keep
+    # the score arrays alive until a full collection; at 1e154 every p = 2
+    # path sum overflows, so the walk exits by raising
+    T = Dataset([PointSequence([[0.0], [scale]]), PointSequence([[scale], [0.0], [scale]])])
+    points = np.array([[0.0], [scale], [2.0]])
+    gc.collect()
+    gc.disable()
+    try:
+        raised = False
+        try:
+            score_tuples(T, points, 3, 2.0, 1.0)
+        except DomainError:
+            raised = True
+        assert raised == (scale > 1.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

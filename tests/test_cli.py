@@ -346,6 +346,12 @@ HUGE_SECTIONS = {"dimension": 1, "sequences": [[[6e299], [-2e300], [-2e300]], [[
 # at p = 1 the distances fit float64; their cubes do not
 HUGE_CUBES = {"dimension": 1, "sequences": [[[1e103], [-1e103]], [[3e103]], [[-2e103]]]}
 
+# at p = 1 the squares fit float64; one center's sum of three does not
+HUGE_SQUARE_SUMS = {
+    "dimension": 2,
+    "sequences": [[[0.0, 0.0]], [[1e154, 0.0]], [[0.5e154, 0.866e154]]],
+}
+
 # each p = 2 table entry, 1e308, fits float64; a path sum of two does not
 HUGE_PATH_SUMS = {"dimension": 1, "sequences": [[[0.0], [0.0]], [[1e154], [1e154]]]}
 
@@ -433,6 +439,19 @@ class TestNonFinite:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("validation error")
         assert "q = 3.0" in err and "overflows float64" in err
+
+    @pytest.mark.parametrize("algo", ["cand1", "cand2"])
+    def test_overflowing_cluster_sums_exit_2(self, capsys, tmp_path, algo):
+        path = _write(tmp_path, HUGE_SQUARE_SUMS)
+        argv = ["cluster", "--algo", algo, "--k", "1", "--beta", "3", "--ell", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--input", path, "--p", "1", "--q", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "validation error: a distance raised to q = 2.0, or a sum of such powers, "
+            "overflows float64; rescale the coordinates\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

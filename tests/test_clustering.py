@@ -195,6 +195,19 @@ class TestKClustering:
             clustering_cost(T, res.centers, 1, 1), rel=1e-9
         )
 
+    @pytest.mark.parametrize("generator", ["cand1", "cand2"])
+    def test_every_leaf_total_overflowing_raises_as_clustering_cost(self, generator):
+        # each square fits float64; with one center, every leaf's sum of
+        # three does not, and with two, the best leaf's sum fits
+        T = Dataset([[[0.0, 0.0]], [[1e154, 0.0]], [[0.5e154, 0.866e154]]])
+        with pytest.raises(DomainError, match="q = 2.0, or a sum of such powers"):
+            clustering_cost(T, [T.sequences[0]], 1.0, 2.0)
+        with pytest.raises(DomainError, match="q = 2.0, or a sum of such powers"):
+            k_clustering(T, self.params(k=1, beta=3.0, q=2.0, ell=1), generator, seed=0)
+        res = k_clustering(T, self.params(k=2, beta=5.0, q=2.0, ell=1), generator, seed=0)
+        assert res.cost.hex() == "0x1.1ccc03191bc70p+1023"  # 9.99956e307
+        assert res.cost == clustering_cost(T, res.centers, 1.0, 2.0)
+
     def test_k_at_least_n_reaches_zero(self):
         T = Dataset([seq(0, 1), seq(40, 41)])
         res = k_clustering(T, self.params(k=2, beta=8.0), "cand1", seed=1)

@@ -43,7 +43,7 @@ def reference_k_clustering(
         for L in sorted({len(c) for c in new}):
             group = [c for c in new if len(c) == L]
             start = len(row_at)
-            rows[start : start + len(group)] = clustering.cost_rows(
+            rows[start : start + len(group)] = clustering.score_candidates(
                 T, table.points[np.array(group)], p, q
             )
             row_at.update((c, start + j) for j, c in enumerate(group))
@@ -111,21 +111,21 @@ def reference_k_clustering(
 
 def outcome(search, T, params, generator, seed, monkeypatch):
     """What one search shows from outside: its result as hex, or its
-    exception's type and message, plus every `cost_rows` call it made."""
+    exception's type and message, plus every `score_candidates` call it made."""
     calls = []
-    real = clustering.cost_rows
+    real = clustering.score_candidates
 
     def spy(T, cands, p, q):
         calls.append(cands.tobytes().hex() + str(cands.shape))
         return real(T, cands, p, q)
 
-    monkeypatch.setattr(clustering, "cost_rows", spy)
+    monkeypatch.setattr(clustering, "score_candidates", spy)
     try:
         res = search(T, params, generator, seed)
     except (CapacityError, DomainError) as e:
         return type(e).__name__, str(e), calls
     finally:
-        monkeypatch.setattr(clustering, "cost_rows", real)
+        monkeypatch.setattr(clustering, "score_candidates", real)
     centers = [(c.vertices.shape, [x.hex() for x in c.vertices.flat]) for c in res.centers]
     return res.cost.hex(), centers, res.nodes, res.rows_scored, calls
 

@@ -26,8 +26,8 @@ from dtwmean import (
     warping_count,
     weak_triangle_check,
 )
-from dtwmean._batch import cost_rows, score_candidates, score_tuples
-from dtwmean.clustering import clustering_cost
+from dtwmean._batch import score_candidates, score_tuples
+from dtwmean.clustering import ClusteringParams, clustering_cost, k_clustering
 from dtwmean.core import dedup_rows, dtw_distances, pow_dist_matrix, warping_pow_cost
 from dtwmean.errors import CapacityError
 
@@ -416,17 +416,21 @@ class TestOverflow:
         # each square fits float64; the sum of the two does not
         V = Dataset([seq(1e154), seq(-1e154)])
         origin = np.zeros((1, 1, 1))
+        # each square fits float64; with one center, every leaf's sum of
+        # three does not (with two, one leaf's sum fits)
+        W = Dataset([[[0.0, 0.0]], [[1e154, 0.0]], [[0.5e154, 0.866e154]]])
+        one = ClusteringParams(k=1, beta=3, delta=0.5, p=1.0, q=2.0, ell=1)
         for call in (
             lambda: dtw(a, b, 1.0),
             lambda: cost(T, a, 1.0, 1.0),
             lambda: simplify(a, 1, 1.0),
             lambda: cost(U, c, 1.0, 3.0),
-            lambda: cost_rows(U, far, 1.0, 3.0),
             lambda: score_candidates(U, far, 1.0, 3.0),
             lambda: score_tuples(U, U.vertex_pool(), 2, 1.0, 3.0),
             lambda: clustering_cost(U, [c], 1.0, 3.0),
             lambda: cost(V, seq(0.0), 1.0, 2.0),
-            lambda: score_candidates(V, origin, 1.0, 2.0),
+            lambda: k_clustering(W, one, "cand1"),
+            lambda: k_clustering(W, one, "cand2"),
             lambda: score_tuples(V, origin[0], 1, 1.0, 2.0),
             lambda: clustering_cost(V, [seq(0.0)], 1.0, 2.0),
         ):
@@ -447,7 +451,6 @@ class TestOverflow:
             lambda: cost(T, a, 2.0, 1.0),
             lambda: optimal_sections(a, T, 2.0),
             lambda: clustering_cost(T, [b, a], 2.0, 1.0),
-            lambda: cost_rows(T, origin, 2.0, 1.0),
             lambda: score_candidates(T, origin, 2.0, 1.0),
             lambda: score_tuples(T, origin[0], 2, 2.0, 1.0),
             lambda: default_dba_init(T, 2, 2.0),

@@ -214,6 +214,22 @@ class TestMedAppr:
 
         assert res.cost == pytest.approx(cost(T, res.sequence, 1, 1), rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [244, 294, 407])
+    @pytest.mark.filterwarnings("ignore:eps=2.0 exceeds")
+    def test_a_won_simplification_reports_its_cost_bit_for_bit(self, seed):
+        # at p = 1.5 numpy's array ** and Python's differ in the last bit for
+        # some elements; these instances' estimates differed from `cost`
+        # when they were taken with numpy's
+        from dtwmean.simplify import simplify
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        T = Dataset([rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 1)) for _ in range(n)])
+        res = med_appr(T, 2.0, 1.5, 0.5, 2, seed)
+        simps = [simplify(tau, 2, 1.5).sequence for tau in T.sequences]
+        assert any(s.as_list() == res.sequence.as_list() for s in simps)
+        assert res.cost.hex() == cost(T, res.sequence, 1.5, 1.0).hex()
+
 
 class TestRepeatedCovers:
     """Seed 3 draws the sequences [3, 0, 0, 0], so sequence 0's cover repeats
