@@ -15,8 +15,15 @@ from .meanapprox import mean_c, mean_c_d
 from .oracle import exact_mean
 from .refine import med_appr
 
-#: The algorithms `solve` runs, in battery order; only the oracle is exact.
-ALGOS = ("sample", "net", "refine", "dba", "oracle")
+#: Each algorithm in battery order: the `RunConfig` fields it reads besides algo and input
+READS = {
+    "sample": ("p", "ell", "eps", "delta", "seed"),
+    "net": ("p", "ell", "eps"),
+    "refine": ("p", "ell", "eps", "delta", "seed"),
+    "dba": ("p", "ell", "max_iters"),
+    "oracle": ("p", "q", "ell", "mode"),
+}
+ALGOS = tuple(READS)
 
 
 @dataclass
@@ -56,6 +63,10 @@ class RunConfig:
                 ok = isinstance(value, int) if kind.startswith("int") else -math.inf < value < math.inf
             if not ok:
                 raise DomainError(f"run config field {name!r} must be {kind}, got {value!r}")
+        reads = {"algo", "input", *READS.get(obj["algo"], fields)}  # unknown algos fail in solve
+        unread = sorted(k for k, v in obj.items() if v is not None and k not in reads)
+        if unread:
+            raise DomainError(f"run config fields {unread} are not read by algo {obj['algo']!r}")
         return cls(**obj)
 
 
@@ -83,12 +94,8 @@ def solve(T: Dataset, cfg: RunConfig) -> dict:
     """
     candidates, flags = None, []
     if cfg.algo in ("sample", "net", "refine"):
-        if cfg.algo == "sample":
-            res = mean_c(T, cfg.delta, cfg.eps, cfg.p, cfg.ell, cfg.seed)
-        elif cfg.algo == "net":
-            res = mean_c_d(T, cfg.eps, cfg.p, cfg.ell)
-        else:
-            res = med_appr(T, cfg.eps, cfg.p, cfg.delta, cfg.ell, cfg.seed)
+        mean = {"sample": mean_c, "net": mean_c_d, "refine": med_appr}[cfg.algo]
+        res = mean(T, **{name: getattr(cfg, name) for name in READS[cfg.algo]})
         result = {"sequence": res.sequence.as_list(), "cost": res.cost}
         candidates, flags = res.candidates_scored, res.flags
     elif cfg.algo == "dba":

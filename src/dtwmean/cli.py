@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .bench import ALGOS, RunConfig, bench, default_battery, oracle_mode_for, solve
+from .bench import ALGOS, READS, RunConfig, bench, default_battery, oracle_mode_for, solve
 from .clustering import ClusteringParams, k_clustering
 from .core import Dataset, dtw
 from .dataio import FORMATS, load_dataset, load_input, save_dataset
@@ -33,8 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 
-#: Type and help of the options that only some commands read; their
-#: defaults are `RunConfig`'s.
+#: Type and help of the options that only some commands read; each parses
+#: to None, and `_resolve` fills those a run reads from `RunConfig`.
 OPTIONS = {
     "p": (float, "distance exponent (default 1)"),
     "q": (float, "cost exponent (default: p)"),
@@ -69,8 +69,6 @@ COMMANDS = {
         ),
         "--k": dict(type=int, help="cluster instead of mean"),
     }),
-    # a run list names its own fields, so bench's options default to None:
-    # _cmd_bench fills them for a dataset and refuses them with a run list
     "bench": ("comparison battery or explicit run list", tuple(OPTIONS), {}),
     "gen": ("synthesize a dataset from a base sequence", ("seed",), {
         "--n": dict(type=int, default=8, help="number of sequences"),
@@ -100,8 +98,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=FORMATS, help="override format inference")
         for opt in options:
             kind, text = OPTIONS[opt]
-            default = None if name == "bench" else getattr(RunConfig, opt)
-            cmd.add_argument(f"--{opt}", type=kind, default=default, help=text)
+            cmd.add_argument(f"--{opt}", type=kind, help=text)
         for flag, spec in arguments.items():
             cmd.add_argument(flag, **spec)
     return parser
@@ -128,12 +125,11 @@ def _run_command(args) -> dict:
             raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.command == "bench":
         return _cmd_bench(args)
+    algo = getattr(args, "algo", None)  # cand2 draws no eps-sized sample, so it reads no --eps
+    reads = READS[algo] if args.command == "mean" else COMMANDS[args.command][1]
+    _resolve(args, [k for k in reads if (algo, k) != ("cand2", "eps")], f"--algo {algo}")
     if args.command == "gen":
         return _cmd_gen(args)
-    if args.command == "mean" and args.algo != "dba" and args.max_iters is not None:
-        raise DomainError(f"--max-iters cannot be given with --algo {args.algo}; only dba reads it")
-    if args.command == "mean" and args.algo == "dba" and args.max_iters is None:
-        args.max_iters = RunConfig.max_iters  # so the config echo names the cap that ran
     T = load_dataset(args.input, args.format)
     start = time.perf_counter()
     extra = {}
@@ -150,8 +146,8 @@ def _run_command(args) -> dict:
         }
     elif args.command == "cluster":
         params = ClusteringParams(
-            k=args.k, beta=args.beta, delta=args.delta,
-            p=args.p, q=_effective_q(args), ell=args.ell, eps=args.eps,
+            k=args.k, beta=args.beta, delta=args.delta, p=args.p, q=_effective_q(args),
+            ell=args.ell, eps=ClusteringParams.eps if args.eps is None else args.eps,
         )
         res = k_clustering(T, params, generator=args.algo, seed=args.seed)
         result = {"centers": [c.as_list() for c in res.centers], "cost": res.cost}
@@ -163,8 +159,7 @@ def _run_command(args) -> dict:
     elif args.command == "oracle":
         result = solve(T, _run_config(args, "oracle", mode=args.algo))["result"]
     else:  # mean: solve's objective, candidates and flags follow the result
-        fields = {"max_iters": args.max_iters} if args.algo == "dba" else {}
-        extra = solve(T, _run_config(args, args.algo, **fields))
+        extra = solve(T, _run_config(args, args.algo))
         result = extra.pop("result")
     return {
         "result": result,
@@ -177,31 +172,34 @@ def _run_command(args) -> dict:
 
 def _config_echo(args) -> dict:
     skip = {"output", "command", "format"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+
+
+def _resolve(args, reads, given_with: str) -> None:
+    """Refuse each option given that the run does not read, and fill each it
+    reads from `RunConfig`, so that the config echo names exactly what ran."""
+    given = [k for k in (*OPTIONS, "max_iters") if getattr(args, k, None) is not None]
+    unread = [f"--{k.replace('_', '-')}" for k in given if k not in reads]
+    if unread:
+        raise DomainError(f"{', '.join(unread)} cannot be given with {given_with}")
+    for k in set(reads) - set(given):
+        setattr(args, k, getattr(RunConfig, k))
 
 
 def _run_config(args, algo: str, **fields) -> RunConfig:
-    # RunConfig's defaults fill the options this command does not take
-    given = {name: getattr(args, name) for name in OPTIONS if hasattr(args, name)}
+    # RunConfig's defaults fill the options this run does not read
+    given = {k: v for k in (*OPTIONS, "max_iters") if (v := getattr(args, k, None)) is not None}
     return RunConfig(algo=algo, **given, **fields)
 
 
 def _cmd_bench(args) -> dict:
     source = load_input(args.input, args.format)
-    if isinstance(source, Dataset):
-        for opt in OPTIONS:
-            if getattr(args, opt) is None:
-                setattr(args, opt, getattr(RunConfig, opt))
-        configs, dataset = default_battery(_run_config(args, "sample")), source
-    else:
-        given = [f"--{opt}" for opt in OPTIONS if getattr(args, opt) is not None]
-        if given:
-            raise DomainError(
-                f"{', '.join(given)} cannot be given with a run list; each run names its own fields"
-            )
+    runs = not isinstance(source, Dataset)
+    _resolve(args, () if runs else OPTIONS, "a run list; each run names its own fields")
+    if runs:
         configs, dataset = [RunConfig.from_dict(entry) for entry in source], None
+    else:
+        configs, dataset = default_battery(_run_config(args, "sample")), source
     report = bench(configs, default_dataset=dataset)
     report["command"] = "bench"
     report["config"] = _config_echo(args)

@@ -40,6 +40,7 @@ from .core import (
     _pow_ends,
     dedup_rows,
     q_overflow_error,
+    seeded_rng,
 )
 from .errors import CapacityError, DomainError, require
 from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples, tuple_count
@@ -61,7 +62,7 @@ class ClusteringParams:
     p: float = 1.0
     q: float = 1.0
     ell: int = 2
-    eps: float = 1.0  # consumed by the cand1 generator only
+    eps: float = 1.0  # sizes cand1's sample; cand2 ignores it, and the CLI refuses it there
 
     def __post_init__(self) -> None:
         require(self.k >= 1, "k must be >= 1")
@@ -189,7 +190,7 @@ def k_clustering(
     """
     require(generator in ("cand1", "cand2"), f"unknown generator {generator!r}")
     k, beta, p, q, ell = params.k, params.beta, params.p, params.q, params.ell
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     delta_node = params.delta / (k + 1)
     table = _PointTable(T, p, ell)
     seq_ids, P = table.seq_ids, len(table.points)

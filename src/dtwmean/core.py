@@ -148,6 +148,12 @@ class Dataset:
         return np.array(list(index), dtype=float), ids
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """`np.random.default_rng(seed)`, a negative seed refused as a DomainError."""
+    require(seed >= 0, f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def dedup_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct entries of a 1-D array, or rows of a 2-D one, in
     first-occurrence order; equal rows (-0.0 equals 0.0) keep their first copy."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .core import Dataset, PointSequence
@@ -75,8 +76,9 @@ def _dataset_from_csv(path: Path) -> Dataset:
                     f"{path}, row {lineno}: expected {width} columns, got {len(row)}"
                 )
             try:
-                t = float(row[1])
-                coords = [float(v) for v in row[2:]]
+                t, *coords = map(float, row[1:])
+                if not math.isfinite(t):
+                    raise ValueError(f"t must be finite, got {row[1]!r}")
             except ValueError as exc:
                 raise DomainError(f"{path}, row {lineno}: {exc}") from None
             groups.setdefault(row[0], []).append((t, coords))

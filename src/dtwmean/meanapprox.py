@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from ._batch import argmin_fold, tuple_groups
-from .core import Dataset, PointSequence, dedup_rows
+from .core import Dataset, PointSequence, dedup_rows, seeded_rng
 from .errors import CapacityError, DomainError, require
 from .ranges import epsilon_net
 
@@ -123,7 +123,7 @@ def mean_c(
     require(ell >= 1, "ell must be >= 1")
     pool = T.vertex_pool()
     size = guard_draws(mean_c_sample_size(T.m, ell, delta, eps, p))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     draws = rng.integers(0, len(pool), size=size)
     # pool rows are pairwise distinct, so distinct ids are the distinct rows
     sample = pool[dedup_rows(draws)]

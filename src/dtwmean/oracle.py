@@ -61,6 +61,7 @@ def _resolve_mode(T: Dataset, mode: str, p, q) -> tuple[float, float]:
         require(T.dimension == 1, "mode line-1-1 needs one-dimensional data")
         return 1.0, 1.0
     require(p is not None and q is not None, "mode discrete needs explicit p and q")
+    require(p >= 1 and q >= 1, "p and q must be >= 1")
     return float(p), float(q)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import argmin_fold, tuple_groups
-from .core import Dataset, PointSequence, _distances, _fold, _pow_ends
+from .core import Dataset, PointSequence, _distances, _fold, _pow_ends, seeded_rng
 from .errors import CapacityError, require
 from .meanapprox import MeanResult, tuple_count
 from .simplify import simplify
@@ -154,7 +154,7 @@ def med_appr(
             stacklevel=2,
         )
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     draws = rng.integers(0, n, size=estimate_sample_count(delta)).tolist()
     simps = sorted((simplify(T.sequences[i], ell, p).sequence for i in draws), key=len)
     costs = [_fold(_distances(ends, p), 1.0) for ends in _pow_ends(simps, T.sequences, p)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, PointSequence, as_sequence
+from .core import Dataset, PointSequence, as_sequence, seeded_rng
 from .errors import require
 
 
@@ -28,7 +28,7 @@ def generate_synthetic(
     require(noise_scale >= 0, "noise_scale must be non-negative")
     lo, hi = resample_range
     require(1 <= lo <= hi, "resample range must satisfy 1 <= min <= max")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     out = []
     for _ in range(n):
         length = int(rng.integers(lo, hi + 1))

@@ -1,8 +1,13 @@
+import json
+from dataclasses import fields, replace
+
 import pytest
 
 import dtwmean.bench as bench_module
-from dtwmean import Dataset, DomainError
+from dtwmean import Dataset, DomainError, save_dataset
 from dtwmean.bench import (
+    ALGOS,
+    READS,
     RunConfig,
     bench,
     default_battery,
@@ -12,7 +17,14 @@ from dtwmean.bench import (
     solve,
 )
 
+from dtwmean.cli import main
+
 from conftest import random_dataset, seq
+
+# a value other than RunConfig's default for each field an algorithm may read
+OTHER = {"p": 2.0, "q": 2.0, "ell": 3, "eps": 0.5, "delta": 0.3, "seed": 7, "mode": "discrete",
+         "max_iters": 3}
+UNREAD = [(algo, name) for algo in ALGOS for name in OTHER if name not in READS[algo]]
 
 
 class TestRunConfig:
@@ -26,6 +38,33 @@ class TestRunConfig:
 
     def test_from_dict_takes_null_for_an_optional_field(self):
         assert RunConfig.from_dict({"algo": "sample", "q": None}) == RunConfig("sample")
+
+
+class TestReads:
+    def test_every_field_but_algo_and_input_has_another_value(self):
+        assert {f.name for f in fields(RunConfig)} == {"algo", "input", *OTHER}
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_solve_ignores_the_fields_an_algorithm_does_not_read(self, rng, algo):
+        T = random_dataset(rng, n=3, max_len=3, min_len=2)
+        cfg = RunConfig(algo, seed=3)
+        want = solve(T, cfg)
+        for name in OTHER:
+            if name not in READS[algo]:
+                assert solve(T, replace(cfg, **{name: OTHER[name]})) == want, name
+
+    @pytest.mark.parametrize("algo,name", UNREAD, ids=[f"{a}-{n}" for a, n in UNREAD])
+    def test_run_list_entry_with_an_unread_field_exits_2(self, capsys, tmp_path, rng, algo, name):
+        data = tmp_path / "data.json"
+        save_dataset(random_dataset(rng, n=3, max_len=3), data)
+        runs = tmp_path / "runs.json"
+        entry = {"algo": algo, "input": str(data), name: OTHER[name]}
+        runs.write_text(json.dumps({"runs": [entry]}))
+        assert main(["bench", "--input", str(runs)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"validation error: run config fields ['{name}'] are not read by algo '{algo}'\n"
+        )
 
 
 class TestDispatch:

@@ -16,6 +16,7 @@ import dtwmean.core as core
 import dtwmean.meanapprox as meanapprox
 import dtwmean.oracle as oracle
 from dtwmean import Dataset, cost, load_dataset, save_dataset
+from dtwmean.bench import RunConfig
 from dtwmean.cli import main
 
 from conftest import random_dataset, seq
@@ -46,6 +47,19 @@ def dataset_path(tmp_path, rng):
     return str(path)
 
 
+# the options each mean algorithm and cluster generator reads; it refuses the others
+MEAN_READS = {
+    "sample": {"--p", "--ell", "--eps", "--delta", "--seed"},
+    "net": {"--p", "--ell", "--eps"},
+    "refine": {"--p", "--ell", "--eps", "--delta", "--seed"},
+    "dba": {"--p", "--ell", "--max-iters"},
+}
+CLUSTER_READS = {
+    "cand1": {"--p", "--q", "--ell", "--eps", "--delta", "--seed"},
+    "cand2": {"--p", "--q", "--ell", "--delta", "--seed"},
+}
+
+
 class TestCommands:
     def test_dtw(self, capsys, dataset_path):
         code, rep = run_cli(capsys, "dtw", "--input", dataset_path, "--p", "1")
@@ -62,10 +76,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("algo", ["sample", "net", "refine", "dba"])
     def test_mean_algos_cost_recomputable(self, capsys, dataset_path, algo):
-        code, rep = run_cli(
-            capsys, "mean", "--input", dataset_path, "--algo", algo,
-            "--p", "1", "--eps", "1", "--delta", "0.2", "--ell", "2", "--seed", "3",
-        )
+        flags = {"--p": "1", "--ell": "2", "--eps": "1", "--delta": "0.2", "--seed": "3"}
+        argv = [s for flag in flags if flag in MEAN_READS[algo] for s in (flag, flags[flag])]
+        code, rep = run_cli(capsys, "mean", "--input", dataset_path, "--algo", algo, *argv)
         assert code == 0
         T = Dataset([seq(*[v[0] for v in s]) for s in json.load(open(dataset_path))["sequences"]])
         obj = rep["objective"]
@@ -157,6 +170,47 @@ def test_unread_flag_is_rejected(capsys, dataset_path, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# a value of each option; the options each command takes; the arguments it needs
+VALUES = {"--p": "1", "--q": "1", "--ell": "2", "--eps": "1", "--delta": "0.2", "--seed": "3",
+          "--max-iters": "3"}
+TAKES = {"mean": set(VALUES) - {"--q"}, "cluster": set(VALUES) - {"--max-iters"}}
+NEEDS = {"mean": [], "cluster": ["--k", "2", "--beta", "5"]}
+READ_TABLES = {"mean": MEAN_READS, "cluster": CLUSTER_READS}
+RUNS = [(command, algo) for command, table in READ_TABLES.items() for algo in table]
+UNREAD = [
+    (command, algo, flag)
+    for command, algo in RUNS
+    for flag in sorted(TAKES[command] - READ_TABLES[command][algo])
+]
+
+
+class TestReadOptions:
+    """Each mean algorithm and cluster generator takes exactly the options it reads."""
+
+    @pytest.mark.parametrize("command,algo,flag", UNREAD, ids=[" ".join(c) for c in UNREAD])
+    def test_unread_option_exits_2_and_names_it(self, capsys, dataset_path, command, algo, flag):
+        argv = [command, "--input", dataset_path, "--algo", algo, *NEEDS[command]]
+        assert main([*argv, flag, VALUES[flag]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} cannot be given with --algo {algo}" in err
+
+    @pytest.mark.parametrize("command,algo", RUNS, ids=[" ".join(c) for c in RUNS])
+    def test_omitted_read_options_echo_the_defaults(self, capsys, dataset_path, command, algo):
+        argv = [command, "--input", dataset_path, "--algo", algo, *NEEDS[command]]
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0
+        echoed = {
+            f"--{k.replace('_', '-')}": v for k, v in rep["config"].items()
+            if f"--{k.replace('_', '-')}" in TAKES[command]
+        }
+        defaults = {
+            flag: getattr(RunConfig, flag[2:].replace("-", "_"))
+            for flag in READ_TABLES[command][algo]
+        }
+        # q's default is None, so it is left out of the echo
+        assert echoed == {flag: v for flag, v in defaults.items() if v is not None}
+
+
 class TestExitCodes:
     def test_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -217,6 +271,54 @@ class TestExitCodes:
         assert main(["bench", "--input", str(path)]) == 4
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("i/o error: ") and missing in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mean"],
+            ["mean", "--algo", "refine"],
+            ["cluster", "--k", "1", "--beta", "3"],
+            ["cluster", "--algo", "cand2", "--k", "1", "--beta", "3"],
+            ["gen", "--output", "gen.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_seed_exits_2(self, capsys, tmp_path, monkeypatch, dataset_path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--input", dataset_path, "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "validation error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "gen.json").exists()
+
+    def test_bench_records_a_negative_seed_as_invalid(self, capsys, tmp_path, dataset_path):
+        path = tmp_path / "batch.json"
+        runs = [{"algo": algo, "input": dataset_path, "seed": -1} for algo in ("sample", "refine")]
+        path.write_text(json.dumps({"runs": runs}))
+        code, rep = run_cli(capsys, "bench", "--input", str(path))
+        assert code == 0
+        for row in rep["runs"]:
+            assert row["flags"] == ["invalid"] and row["error"] == "seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--algo", "discrete", "--p", "1", "--q", "0.5"],
+            ["oracle", "--k", "1", "--q", "0.5"],
+            ["oracle", "--algo", "discrete", "--p", "0.5", "--q", "1"],
+            ["oracle", "--k", "1", "--p", "0.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_oracle_exponents_below_1_exit_2(self, capsys, dataset_path, argv):
+        assert main([*argv, "--input", dataset_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "validation error: p and q must be >= 1\n"
+
+    def test_bench_records_an_oracle_q_below_1_as_invalid(self, capsys, dataset_path):
+        code, rep = run_cli(capsys, "bench", "--input", dataset_path, "--q", "0.5")
+        assert code == 0
+        row = next(row for row in rep["runs"] if row["algo"] == "oracle")
+        assert row["flags"] == ["invalid"] and row["error"] == "p and q must be >= 1"
 
     def test_mean_dba_echoes_its_default_cap(self, capsys, dataset_path):
         code, rep = run_cli(capsys, "mean", "--input", dataset_path, "--algo", "dba")

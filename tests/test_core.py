@@ -20,6 +20,9 @@ from dtwmean import (
     default_dba_init,
     dtw,
     enumerate_warpings,
+    generate_synthetic,
+    mean_c,
+    med_appr,
     optimal_sections,
     sections,
     simplify,
@@ -614,6 +617,22 @@ class TestWeakTriangle:
         z = random_sequence(rng, max_len=5, dim=d)
         p = float(rng.choice([1.0, 2.0]))
         assert weak_triangle_check(x, y, z, p)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda T: mean_c(T, 0.3, 1.0, 1.0, 2, seed=-1),
+        lambda T: med_appr(T, 1.0, 1.0, 0.3, 2, seed=-1),
+        lambda T: k_clustering(T, ClusteringParams(k=1, beta=3.0, delta=0.3), seed=-1),
+        lambda T: generate_synthetic(T.sequences[0], 2, 0.1, (2, 2), seed=-1),
+    ],
+    ids=["mean_c", "med_appr", "k_clustering", "generate_synthetic"],
+)
+def test_negative_seed_is_a_domain_error(run):
+    # numpy's default_rng refuses it with a bare ValueError; seeded_rng names it
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        run(Dataset([seq(0, 1), seq(1, 2)]))
 
 
 def reference_dedup(rows: np.ndarray) -> np.ndarray:

@@ -42,9 +42,11 @@ GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 DATASETS = ("d1.json", "d2.json")
 PS = ("1", "2", "1.5")
 COMMON = {"--ell": "2", "--eps": "1", "--delta": "0.3", "--seed": "3"}
-# the flags of --p and COMMON that a command takes, where it takes only some
+# the flags of --p and COMMON that a case's command and algorithm read, where
+# they read only some, by case name or else by command
 TAKES = {"dtw": {"--p"}, "simplify": {"--p", "--ell"}, "oracle": {"--p", "--ell"},
-         "gen": {"--seed"}}
+         "gen": {"--seed"}, "mean-net": {"--p", "--ell", "--eps"}, "mean-dba": {"--p", "--ell"},
+         "cluster-cand2": {"--p", "--ell", "--delta", "--seed"}}
 
 
 def golden_datasets() -> dict[str, str]:
@@ -95,7 +97,7 @@ def cases() -> list[tuple[str, list[str]]]:
                 ("gen", ["gen", "--output", f"gen-{tag}-p{p}.json", "--n", "3", "--noise", "0.2"]),
             ]
             for name, head in grid:
-                keep = TAKES.get(head[0], flags)
+                keep = TAKES.get(name, TAKES.get(head[0], flags))
                 taken = [s for flag in flags if flag in keep for s in (flag, flags[flag])]
                 out.append((f"{tag}-p{p}-{name}", [*head, "--input", data, *taken]))
             runs = f"runs-{tag}-p{p}.json"

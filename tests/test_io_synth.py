@@ -139,6 +139,13 @@ class TestCsv:
         with pytest.raises(DomainError, match="row 3: could not convert string to float: 'oops'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_t_names_row(self, tmp_path, t):
+        path = tmp_path / "d.csv"
+        path.write_text(f"seq_id,t,x1\n0,{t},1\n0,0,2\n0,1,3\n")
+        with pytest.raises(DomainError, match=f"row 2: t must be finite, got '{t}'"):
+            load_dataset(path)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("seq_id,t,x1\n")
@@ -169,6 +176,10 @@ class TestSynthetic:
         for s in T.sequences:
             vals = s.vertices.ravel()
             assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_negative_seed_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            generate_synthetic(seq(0, 1), 3, 0.1, (2, 2), seed=-1)
 
     def test_invalid_range(self):
         with pytest.raises(DomainError):

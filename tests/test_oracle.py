@@ -17,6 +17,15 @@ from conftest import random_dataset, random_sequence, seq
 
 
 class TestExactMean:
+    @pytest.mark.parametrize("p,q", [(1, 0.5), (0.5, 1), (0.5, 0.5)])
+    def test_discrete_exponents_below_1_refused_before_any_search(self, monkeypatch, p, q):
+        monkeypatch.setattr(oracle, "_exact_mean_discrete", lambda *a: pytest.fail("searched"))
+        T = Dataset([seq(0, 1), seq(2)])
+        with pytest.raises(DomainError, match="p and q must be >= 1"):
+            exact_mean(T, 2, "discrete", p, q)
+        with pytest.raises(DomainError, match="p and q must be >= 1"):
+            exact_clustering(T, 1, 2, "discrete", p, q)
+
     def test_identity(self):
         s = seq(1, 4, 2)
         r = exact_mean(Dataset([s]), 3, "line-1-1")

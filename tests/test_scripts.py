@@ -9,9 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ARGS = {
-    "check_reference.py": [
-        "--size", "tiny", "--workload", "cluster-planted", "battery-small", "--variant", "0"
-    ],
+    # every workload's argv shapes, at tiny size: 16 ops
+    "check_reference.py": ["--size", "tiny", "--variant", "0"],
     "compare_algorithms.py": ["--n", "4"],
     "planted_clustering.py": ["--trials", "2"],
     "success_rates.py": ["--trials", "2"],
