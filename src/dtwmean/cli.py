@@ -207,6 +207,8 @@ def _cmd_bench(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    if not args.output:
+        raise DomainError("gen requires --output for the dataset file")
     # --format applies to the generated output; the input format is inferred
     base = load_dataset(args.input).sequences[0]
     if args.resample:
@@ -217,8 +219,6 @@ def _cmd_gen(args) -> dict:
     else:
         lo = hi = base.complexity
     T = generate_synthetic(base, args.n, args.noise, (lo, hi), args.seed)
-    if not args.output:
-        raise DomainError("gen requires --output for the dataset file")
     save_dataset(T, args.output, args.format)
     return {
         "command": "gen",

@@ -19,9 +19,9 @@ runs on a point table: the dataset's vertex pool (`Dataset.point_table`)
 with every input sequence held as an array of pool ids.  A candidate is a
 tuple of pool ids whose row of dtw_p(c, tau)^q over the dataset is scored
 once through `_batch.score_candidates`.  The nodes one center short of k
-are walked with only their draws, then folded in numpy a block of nodes at
-a time, so that no per-node Python touches their candidates.  Only the
-returned centers are built as `PointSequence`s.
+draw in chunks of consecutive nodes, one `rng.integers` call each, then are
+folded in numpy a block of nodes at a time, so that no per-node Python
+touches their candidates.  Only the centers returned become `PointSequence`s.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from .core import (
     seeded_rng,
 )
 from .errors import CapacityError, DomainError, require
-from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples, tuple_count
+from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
 from .simplify import _anchors
 
 NODE_GUARD = 1_000_000
 
-#: a block of walked nodes is folded once nodes x most candidates x sequences reaches this
+#: fold a block once nodes x most candidates x sequences reaches this; it bounds cand1 chunks too
 _FOLD_ELEMENTS = 12288
 
 
@@ -98,7 +98,8 @@ def cand1_sample_size(
     try:
         return math.ceil((2.0**p / eps + 1.0) * beta * m * math.log(ell / delta))
     except OverflowError:
-        raise DomainError(f"the cand1 sample size overflows a float at p = {p}") from None
+        at = f"beta = {beta}, eps = {eps}, m = {m}, p = {p}"
+        raise DomainError(f"the cand1 sample size overflows a float at {at}") from None
 
 
 def cand2_sample_size(beta: float, delta: float) -> int:
@@ -106,20 +107,26 @@ def cand2_sample_size(beta: float, delta: float) -> int:
 
 
 def _cand1(
-    pool_ids: np.ndarray, m: int, beta: float, delta: float, eps: float, p: float,
+    nodes: list[tuple[np.ndarray, int]], beta: float, delta: float, eps: float, p: float,
     ell: int, rng,
-) -> list[int]:
-    """Distinct draws from `pool_ids`, in first-draw order: the candidates are
-    all their tuples of length 1..ell, by length, then lexicographic.
-
-    `pool_ids` is the vertex pool of the sequences in play (distinct ids in
-    first-occurrence order) and `m` their largest complexity.
-    """
-    size = guard_draws(cand1_sample_size(beta, delta, eps, p, m, ell))
-    draws = rng.integers(0, len(pool_ids), size=size)
-    sample = list(dict.fromkeys(pool_ids[draws].tolist()))
-    guard_tuples(len(sample), ell, CANDIDATE_GUARD)
-    return sample
+) -> np.ndarray:
+    """Each node's distinct draws in first-draw order, one row per node padded
+    with -1, whose tuples of length 1..ell, by length, then lexicographic,
+    are its candidates.  A node is `(pool_ids, m)`: the pool of the sequences
+    in play (distinct ids in first-occurrence order) and their largest
+    complexity.  The one `rng.integers` call draws what a call per node would."""
+    sizes = [guard_draws(cand1_sample_size(beta, delta, eps, p, m, ell)) for _, m in nodes]
+    lens = np.array([len(ids) for ids, _ in nodes])
+    w, at = lens.max(), rng.integers(0, np.repeat(lens, sizes))
+    at += np.repeat(np.arange(0, len(nodes) * w, w), sizes)  # at[d]: the cell draw d hits
+    # first[j * w + i]: the first draw of node j's pool position i, or len(at) if none
+    first = np.full(len(nodes) * w, len(at))
+    np.minimum.at(first, at, pos := np.arange(len(at)))
+    node, i = np.divmod(at[first[at] == pos], w)  # draws first in their cell, in draw order
+    rank = np.arange(len(node)) - node.searchsorted(node)
+    out = np.full((len(nodes), rank.max() + 1), -1)
+    out[node, rank] = np.concatenate([ids for ids, _ in nodes])[(np.cumsum(lens) - lens)[node] + i]
+    return out
 
 
 def _cand2(
@@ -179,17 +186,19 @@ def k_clustering(
     their candidates and recurse.  Below a node with k - 2 centers (the root
     if k = 1), each child and its discard descendants form a chain that keeps
     the child's dmin, so all chains' active sets come up front, one stable
-    argsort per depth.  The chains are walked in depth-first order and
-    folded in blocks (`_FOLD_ELEMENTS`): a block's candidate rows are
-    resolved at once, the new ones scored node by node, shortest first, and
-    its nodes recorded in walk order by their first cheapest candidate.  If
+    argsort per depth.  The chains are walked in depth-first order, cand1
+    drawing chunks of nodes (`_FOLD_ELEMENTS` draws plus nodes x widest pool)
+    at once, and folded in blocks (`_FOLD_ELEMENTS`, within a chunk): a
+    block's candidate rows are resolved at once, the new ones scored node by
+    node, shortest first, and its nodes recorded in walk order by their
+    first cheapest candidate.  Each node's errors come when the walk reaches it.  If
     the walk raises, the nodes walked so far are scored first, so an overflow
     `DomainError` still precedes any later node's error, and if every leaf's
     total overflows, the search raises as `clustering_cost` does.  `nodes`
     and `rows_scored` count the search nodes and the distinct rows scored.
     """
     require(generator in ("cand1", "cand2"), f"unknown generator {generator!r}")
-    k, beta, p, q, ell = params.k, params.beta, params.p, params.q, params.ell
+    k, beta, p, q, ell, eps = params.k, params.beta, params.p, params.q, params.ell, params.eps
     rng = seeded_rng(seed)
     delta_node = params.delta / (k + 1)
     table = _PointTable(T, p, ell)
@@ -200,12 +209,11 @@ def k_clustering(
     # a tuple's code being its prefix's row * P + its last id; cand2: tuple -> row
     index, top = {}, (np.array([np.iinfo(np.intp).max]), np.array([-1]))
 
-    def resolve_tuples(samples: list[list[int]], jobs: list) -> np.ndarray:
-        # the samples padded with -1 to one width u: entry e of a node's
-        # length-L row has prefix e // u and last id e % u, so without the
-        # padded entries each node's tuples come by length, then lexicographic
-        u = max(map(len, samples))
-        ids = np.array([s + [-1] * (u - len(s)) for s in samples])
+    def resolve_tuples(ids: np.ndarray, jobs: list) -> np.ndarray:
+        # one row of sample ids per node, padded with -1 to one width u: entry
+        # e of a node's length-L row has prefix e // u and last id e % u, so
+        # without the padded entries its tuples come by length, then lexicographic
+        u = ids.shape[1]
         ok, prev, parts = np.ones((len(ids), 1), bool), np.zeros((len(ids), 1), np.intp), []
         for L in range(1, ell + 1):
             ok = (ok[:, :, None] & (ids >= 0)[:, None, :]).reshape(len(ids), -1)
@@ -242,6 +250,7 @@ def k_clustering(
         """Rows of consecutive nodes' candidates; new ones scored node by node."""
         nonlocal rows
         jobs: list = []
+        draws = np.array(draws) if generator == "cand1" else draws  # cand1: one row per node
         rid = (resolve_tuples if generator == "cand1" else resolve_found)(draws, jobs)
         if len(keys) > len(rows):
             rows = np.concatenate([rows, np.empty((len(keys) - len(rows), T.n))])
@@ -250,18 +259,33 @@ def k_clustering(
         return rid
 
     pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+    sizes: dict[int, int] = {}  # largest complexity m -> cand1's draws
 
-    def generate(active: tuple[int, ...]) -> tuple:
-        """A node's draw, the sample (cand1) or the simplifications found
-        (cand2); the source of its centers' vertices; its candidate count."""
-        if generator == "cand2":
-            found = _cand2(active, table.simplified, beta, delta_node, rng)
-            return found, found, len(found)
-        if active not in pools:
-            ids = np.concatenate([seq_ids[i] for i in active])
-            pools[active] = (dedup_rows(ids), max(len(seq_ids[i]) for i in active))
-        sample = _cand1(*pools[active], beta, delta_node, params.eps, p, ell, rng)
-        return sample, active, tuple_count(len(sample), ell, CANDIDATE_GUARD)
+    def sample(walk: list, i: int, last: bool) -> dict:
+        """cand1's samples of walk node i and, at the last level, of the nodes
+        after it while draws plus nodes x widest pool fit in `_FOLD_ELEMENTS`:
+        walk index -> (ids row, count).  A later node whose size raises ends it."""
+        js, chunk, total, width = [], [], 0, 0
+        for j in range(i, len(walk) if last else i + 1):
+            if not (a := walk[j][1]):
+                continue
+            if a not in pools:
+                ids = np.concatenate([seq_ids[v] for v in a])
+                pools[a] = (dedup_rows(ids), max(len(seq_ids[v]) for v in a))
+            try:
+                if (m := pools[a][1]) not in sizes:
+                    sizes[m] = guard_draws(cand1_sample_size(beta, delta_node, eps, p, m, ell))
+            except (CapacityError, DomainError):
+                if chunk:
+                    break
+                raise
+            total, width = total + sizes[m], max(width, len(pools[a][0]))
+            if chunk and total + (len(chunk) + 1) * width > _FOLD_ELEMENTS:
+                break
+            js.append(j)
+            chunk.append(pools[a])
+        ids = _cand1(chunk, beta, delta_node, eps, p, ell, rng)
+        return dict(zip(js, zip(ids, (ids >= 0).sum(axis=1).tolist())))
 
     best, nodes = [math.inf, []], 0  # the first cheapest leaf (cost, centers); nodes seen
 
@@ -304,24 +328,32 @@ def k_clustering(
             n_rm = math.ceil(act.shape[1] * (1.0 - 2.0 * k / beta))
             order = np.argsort(np.take_along_axis(D, act, 1), axis=1, kind="stable")
             acts.append(np.sort(np.take_along_axis(act, order[:, n_rm:], 1), axis=1))
-        block, kmax = [], 0
+        walk = [(s, tuple(act[s].tolist())) for s in range(len(D)) for act in acts]
+        block, kmax, drawn, end = [], 0, {}, -1  # a block's cand1 rows: one chunk, one width
         try:
-            for s in range(len(D)):
-                for act in acts:
-                    count_nodes(1)
-                    a = tuple(act[s].tolist())
-                    draw, src, K = generate(a) if a else (None, None, 0)
-                    if folded := not a or depth == k - 1:
-                        block.append((s, src, draw, K))
-                        count_nodes(K)
-                        kmax = max(kmax, K)
-                    if not folded or len(block) * kmax * T.n >= _FOLD_ELEMENTS:
-                        full, block, kmax = block, [], 0
-                        fold(full, heads, D)
-                    if not folded:
-                        rid = resolve([draw])
-                        sub = [heads[s] + [(keys[r], src)] for r in rid.tolist()]
-                        chains(sub, np.minimum(D[s], rows[rid]), act[s], depth + 1)
+            for i, (s, a) in enumerate(walk):
+                count_nodes(1)
+                if not a:
+                    draw, src, K = None, None, 0
+                elif generator == "cand2":
+                    draw = src = _cand2(a, table.simplified, beta, delta_node, rng)
+                    K = len(draw)
+                else:
+                    if i not in drawn:
+                        end = max(drawn := sample(walk, i, depth == k - 1))
+                    (draw, u), src = drawn[i], a
+                    K = guard_tuples(u, ell, CANDIDATE_GUARD)
+                if folded := not a or depth == k - 1:
+                    block.append((s, src, draw, K))
+                    count_nodes(K)
+                    kmax = max(kmax, K)
+                if not folded or i == end or len(block) * kmax * T.n >= _FOLD_ELEMENTS:
+                    full, block, kmax = block, [], 0
+                    fold(full, heads, D)
+                if not folded:
+                    rid = resolve([draw])
+                    sub = [heads[s] + [(keys[r], src)] for r in rid.tolist()]
+                    chains(sub, np.minimum(D[s], rows[rid]), np.array(a), depth + 1)
         finally:
             fold(block, heads, D)
 

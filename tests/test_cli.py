@@ -431,6 +431,21 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == "validation error: gen requires --output for the dataset file\n"
 
+    def test_gen_refuses_a_missing_output_before_generating(self, capsys, monkeypatch, dataset_path):
+        def generate(*args):
+            raise AssertionError("gen generated a dataset it cannot write")
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        assert main(["gen", "--input", dataset_path, "--n", "100000"]) == 2
+        assert "gen requires --output" in capsys.readouterr().err
+
+    def test_an_overflowing_cand1_sample_size_names_beta(self, capsys, dataset_path):
+        argv = ["cluster", "--input", dataset_path, "--k", "1", "--beta", "1e308", "--delta", "0.2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("validation error: the cand1 sample size overflows")
+        assert "beta = 1e+308" in err
+
 
 @pytest.fixture
 def huge_path(tmp_path):

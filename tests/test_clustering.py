@@ -18,7 +18,7 @@ from dtwmean import (
     k_clustering,
     simplify,
 )
-from dtwmean.clustering import _cand1, _cand2, _PointTable
+from dtwmean.clustering import _cand1, _cand2, _PointTable, cand1_sample_size
 
 from conftest import random_dataset, seq
 
@@ -70,8 +70,35 @@ def cand1_ids(T, beta, delta, eps, p, ell, seed):
     """The pool-id tuples `k_clustering`'s cand1 generator draws at its root:
     all tuples of length 1..ell over the sample, by length, then lexicographic."""
     pool_ids = np.arange(len(T.vertex_pool()))
-    sample = _cand1(pool_ids, T.m, beta, delta, eps, p, ell, np.random.default_rng(seed))
+    [row] = _cand1([(pool_ids, T.m)], beta, delta, eps, p, ell, np.random.default_rng(seed))
+    sample = row.tolist()
     return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
+
+
+def test_array_high_draws_equal_per_node_draws():
+    # `_cand1` draws every node of a chunk in one `integers` call with one high
+    # per draw; seeded outputs rest on numpy drawing the same values, and
+    # leaving the same state, as one call per node (a high of 1 draws nothing)
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        highs = rng.integers(1, 20, size=rng.integers(1, 6))
+        highs[rng.random(len(highs)) < 0.3] = 1
+        sizes = rng.integers(1, 50, size=len(highs))
+        seed = int(rng.integers(2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        per_node = [a.integers(0, h, size=n) for h, n in zip(highs.tolist(), sizes.tolist())]
+        assert np.array_equal(b.integers(0, np.repeat(highs, sizes)), np.concatenate(per_node))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_cand1_rows_are_each_nodes_first_draws_in_order():
+    pools = [(np.array([7, 3, 9]), 2), (np.array([4]), 1), (np.array([5, 6, 1, 8, 2]), 3)]
+    ids = _cand1(pools, 4.0, 0.3, 1.0, 1.0, 2, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for row, (pool, m) in zip(ids.tolist(), pools):
+        draws = rng.integers(0, len(pool), size=cand1_sample_size(4.0, 0.3, 1.0, 1.0, m, 2))
+        sample = list(dict.fromkeys(pool[draws].tolist()))
+        assert row == sample + [-1] * (ids.shape[1] - len(sample))
 
 
 class TestCandidateGenerators:

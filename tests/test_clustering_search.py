@@ -1,8 +1,9 @@
 """The batched search of `k_clustering` against a per-node reference.
 
 `reference_k_clustering` below is the search as it ran before its last level
-was batched: one node at a time, every candidate a pool-id tuple, each row
-looked up by its tuple in a dict.  The batched search must return the same
+was batched: one node at a time, each cand1 sample drawn by its own
+`rng.integers` call, every candidate a pool-id tuple, each row looked up by
+its tuple in a dict.  The batched search must return the same
 cost, centers, node count and scored-row count, bit for bit, and raise the
 same first exception, with the same rows scored before it.
 """
@@ -17,9 +18,11 @@ import numpy as np
 import pytest
 
 import dtwmean.clustering as clustering
+import dtwmean.meanapprox as meanapprox
 from dtwmean import CapacityError, ClusteringParams, Dataset, DomainError, PointSequence
 from dtwmean.clustering import CenterSet, _cand2, _PointTable, k_clustering
 from dtwmean.core import dedup_rows
+from dtwmean.meanapprox import guard_draws, guard_tuples, tuple_count
 
 
 def reference_k_clustering(
@@ -59,7 +62,10 @@ def reference_k_clustering(
             ids = np.concatenate([seq_ids[i] for i in active])
             pools[active] = (dedup_rows(ids), max(len(seq_ids[i]) for i in active))
         pool_ids, m = pools[active]
-        sample = clustering._cand1(pool_ids, m, beta, delta_node, params.eps, p, ell, rng)
+        size = guard_draws(clustering.cand1_sample_size(beta, delta_node, params.eps, p, m, ell))
+        draws = rng.integers(0, len(pool_ids), size=size)
+        sample = list(dict.fromkeys(pool_ids[draws].tolist()))
+        guard_tuples(len(sample), ell, clustering.CANDIDATE_GUARD)
         cands = [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
         return cands, [active] * len(cands)
 
@@ -191,3 +197,80 @@ def test_an_overflowing_row_is_raised_before_a_later_node_guard(monkeypatch, fol
         want = outcome(reference_k_clustering, T, params, "cand1", 11, monkeypatch)
         assert want[0] == ("CapacityError" if guard == 1 else "DomainError")
         assert outcome(k_clustering, T, params, "cand1", 11, monkeypatch) == want
+
+
+def uneven_sizes(monkeypatch, overflow_m=None):
+    """Make a node of largest complexity m draw 2 * 5 ** (3 - m) vertices: the
+    root (m = 3) draws 2, later nodes 10 or 50, so guards trip mid-walk.  A
+    node of m = `overflow_m` raises the sample size's overflow instead."""
+
+    def size(beta, delta, eps, p, m, ell):
+        if m == overflow_m:
+            raise DomainError(f"the cand1 sample size overflows a float at m = {m}")
+        return 2 * 5 ** (3 - m)
+
+    monkeypatch.setattr(clustering, "cand1_sample_size", size)
+
+
+@pytest.mark.parametrize("fold_elements", [24, clustering._FOLD_ELEMENTS])
+@pytest.mark.parametrize("sizes,seed", [("formula", 2), ("uneven", 0), ("uneven", 5)])
+@pytest.mark.parametrize("guard", ["SAMPLE_GUARD", "CANDIDATE_GUARD"])
+def test_every_sample_and_candidate_guard_raises_the_reference_error_at_the_same_point(
+    monkeypatch, fold_elements, sizes, seed, guard
+):
+    T = tricky_dataset(1, 4, seed)
+    params = ClusteringParams(k=2, beta=5.5, delta=0.3, ell=2, eps=4.0)
+    monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", fold_elements)
+    if sizes == "uneven":
+        uneven_sizes(monkeypatch)
+    if guard == "SAMPLE_GUARD":
+        drawn = [clustering.cand1_sample_size(5.5, 0.1, 4.0, 1.0, m, 2) for m in (1, 2, 3)]
+        values = range(min(drawn) - 1, max(drawn) + 1)
+    else:
+        values = range(tuple_count(len(_PointTable(T, 1.0, 2).points), 2, math.inf) + 1)
+    raised_after = set()  # the number of score_candidates calls before each error
+    for value in values:
+        monkeypatch.setattr(meanapprox if guard == "SAMPLE_GUARD" else clustering, guard, value)
+        want = outcome(reference_k_clustering, T, params, "cand1", seed, monkeypatch)
+        if want[0] == "CapacityError":
+            raised_after.add(len(want[2]))
+        assert outcome(k_clustering, T, params, "cand1", seed, monkeypatch) == want
+    assert 0 in raised_after  # the root trips the smallest guards
+    if sizes == "uneven":  # and some last-level node, after rows were scored, a larger one
+        assert max(raised_after) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_an_overflowing_sample_size_is_raised_at_its_node(monkeypatch, seed):
+    T = tricky_dataset(1, 4, seed)
+    params = ClusteringParams(k=2, beta=5.5, delta=0.3, ell=2, eps=4.0)
+    uneven_sizes(monkeypatch, overflow_m=1)
+    for fold_elements in (24, clustering._FOLD_ELEMENTS):
+        monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", fold_elements)
+        want = outcome(reference_k_clustering, T, params, "cand1", seed, monkeypatch)
+        assert want[:2] == ("DomainError", "the cand1 sample size overflows a float at m = 1")
+        assert want[2]  # rows were scored before the node that overflows
+        assert outcome(k_clustering, T, params, "cand1", seed, monkeypatch) == want
+
+
+def test_the_cluster_planted_shape_matches_the_reference(monkeypatch):
+    # the benchmark's cluster-planted ops: two groups of three two-vertex sequences
+    rng = np.random.default_rng(4)
+    T = Dataset([
+        PointSequence(np.array([[base], [base + 1.0]]) + rng.uniform(-0.3, 0.3, size=(2, 1)))
+        for base in (0.0, 30.0)
+        for _ in range(3)
+    ])
+    params = ClusteringParams(k=2, beta=8.0, delta=0.2, ell=2, eps=1.0)
+    chunks = []
+    real = clustering._cand1
+
+    def spy(nodes, *args):
+        chunks.append(len(nodes))
+        return real(nodes, *args)
+
+    want = outcome(reference_k_clustering, T, params, "cand1", 17, monkeypatch)
+    monkeypatch.setattr(clustering, "_cand1", spy)
+    assert outcome(k_clustering, T, params, "cand1", 17, monkeypatch) == want
+    # the root draws alone; the one chains call below it, in several chunks of many nodes
+    assert chunks[0] == 1 and len(chunks) > 2 and sum(chunks) > 10 * len(chunks)

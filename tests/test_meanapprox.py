@@ -80,7 +80,7 @@ class TestSampleGuard:
         "cand1": (
             cand1_sample_size(5.0, 0.3, 1.0, 1.0, 3, 2),
             lambda T: _cand1(
-                np.arange(len(T.vertex_pool())), T.m, 5.0, 0.3, 1.0, 1.0, 2,
+                [(np.arange(len(T.vertex_pool())), T.m)], 5.0, 0.3, 1.0, 1.0, 2,
                 np.random.default_rng(0),
             ),
         ),
@@ -104,8 +104,9 @@ class TestSampleGuard:
                 self.rng = real_rng(seed)
 
             def integers(self, *args, **kwargs):
-                drawn.append(kwargs["size"])
-                return self.rng.integers(*args, **kwargs)
+                values = self.rng.integers(*args, **kwargs)
+                drawn.append(len(values))
+                return values
 
         monkeypatch.setattr(np.random, "default_rng", Recording)
         monkeypatch.setattr(meanapprox, "SAMPLE_GUARD", size - 1)
