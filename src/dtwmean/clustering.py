@@ -18,10 +18,11 @@ Both generators only ever emit sequences of input vertices, so the search
 runs on a point table: the dataset's vertex pool (`Dataset.point_table`)
 with every input sequence held as an array of pool ids.  A candidate is a
 tuple of pool ids whose row of dtw_p(c, tau)^q over the dataset is scored
-once through `_batch.score_candidates`.  The nodes one center short of k
-draw in chunks of consecutive nodes, one `rng.integers` call each, then are
-folded in numpy a block of nodes at a time, so that no per-node Python
-touches their candidates.  Only the centers returned become `PointSequence`s.
+once through `_batch.score_candidates`.  Both generators draw through
+`_cand1`.  The nodes one center short of k draw in chunks of consecutive
+nodes, one `rng.integers` call each, and each chunk is folded in numpy once,
+so that no per-node Python touches cand1's candidates.  Only the centers
+returned become `PointSequence`s.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from .core import (
     seeded_rng,
 )
 from .errors import CapacityError, DomainError, require
-from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples
+from .meanapprox import CANDIDATE_GUARD, guard_draws, guard_tuples, tuple_count
 from .simplify import _anchors
 
 NODE_GUARD = 1_000_000
 
-#: fold a block once nodes x most candidates x sequences reaches this; it bounds cand1 chunks too
+#: bounds a last-level chunk: its draws, first-draw table and fold (one node may exceed it alone)
 _FOLD_ELEMENTS = 12288
 
 
@@ -106,41 +107,25 @@ def cand2_sample_size(beta: float, delta: float) -> int:
     return math.ceil(2.0 * beta * math.log2(2.0 / delta))
 
 
-def _cand1(
-    nodes: list[tuple[np.ndarray, int]], beta: float, delta: float, eps: float, p: float,
-    ell: int, rng,
-) -> np.ndarray:
+def _cand1(nodes: list[tuple[np.ndarray, int]], rng) -> np.ndarray:
     """Each node's distinct draws in first-draw order, one row per node padded
-    with -1, whose tuples of length 1..ell, by length, then lexicographic,
-    are its candidates.  A node is `(pool_ids, m)`: the pool of the sequences
-    in play (distinct ids in first-occurrence order) and their largest
-    complexity.  The one `rng.integers` call draws what a call per node would."""
-    sizes = [guard_draws(cand1_sample_size(beta, delta, eps, p, m, ell)) for _, m in nodes]
+    with -1.  A node `(ids, size)` draws `size` times from `ids`; both
+    generators draw through here: cand1 from the pool ids of the sequences in
+    play (distinct, in first-occurrence order), whose tuples of length 1..ell,
+    by length, then lexicographic, are its candidates, and cand2 from the
+    sequence ids in play, whose simplifications are.  The one `rng.integers`
+    call draws what a call per node would."""
+    sizes = [size for _, size in nodes]
     lens = np.array([len(ids) for ids, _ in nodes])
     w, at = lens.max(), rng.integers(0, np.repeat(lens, sizes))
     at += np.repeat(np.arange(0, len(nodes) * w, w), sizes)  # at[d]: the cell draw d hits
-    # first[j * w + i]: the first draw of node j's pool position i, or len(at) if none
+    # first[j * w + i]: the first draw of node j's position i, or len(at) if none
     first = np.full(len(nodes) * w, len(at))
     np.minimum.at(first, at, pos := np.arange(len(at)))
     node, i = np.divmod(at[first[at] == pos], w)  # draws first in their cell, in draw order
     rank = np.arange(len(node)) - node.searchsorted(node)
     out = np.full((len(nodes), rank.max() + 1), -1)
     out[node, rank] = np.concatenate([ids for ids, _ in nodes])[(np.cumsum(lens) - lens)[node] + i]
-    return out
-
-
-def _cand2(
-    active: tuple[int, ...], simplified, beta: float, delta: float, rng
-) -> dict[tuple[int, ...], int]:
-    """Distinct simplifications of sampled `active` sequences, in draw order.
-
-    Maps each simplification's pool-id tuple to the first sequence drawn
-    that yields it; `simplified(i)` gives the tuple of sequence i.
-    """
-    draws = rng.integers(0, len(active), size=guard_draws(cand2_sample_size(beta, delta)))
-    out: dict[tuple[int, ...], int] = {}
-    for i in draws.tolist():
-        out.setdefault(simplified(active[i]), active[i])
     return out
 
 
@@ -186,12 +171,13 @@ def k_clustering(
     their candidates and recurse.  Below a node with k - 2 centers (the root
     if k = 1), each child and its discard descendants form a chain that keeps
     the child's dmin, so all chains' active sets come up front, one stable
-    argsort per depth.  The chains are walked in depth-first order, cand1
-    drawing chunks of nodes (`_FOLD_ELEMENTS` draws plus nodes x widest pool)
-    at once, and folded in blocks (`_FOLD_ELEMENTS`, within a chunk): a
-    block's candidate rows are resolved at once, the new ones scored node by
-    node, shortest first, and its nodes recorded in walk order by their
-    first cheapest candidate.  Each node's errors come when the walk reaches it.  If
+    argsort per depth.  The chains are walked in depth-first order, both
+    generators drawing a chunk of consecutive nodes at once, as many as its
+    draws, first-draw table and fold keep within `_FOLD_ELEMENTS`, and each
+    chunk folded once, at its last node: its candidate rows are resolved at
+    once, the new ones scored node by node, shortest first, and its nodes
+    recorded in walk order by their first cheapest candidate.  Each node's
+    errors come when the walk reaches it; cand2 simplifies its draws there.  If
     the walk raises, the nodes walked so far are scored first, so an overflow
     `DomainError` still precedes any later node's error, and if every leaf's
     total overflows, the search raises as `clustering_cost` does.  `nodes`
@@ -258,33 +244,40 @@ def k_clustering(
             rows[got] = score_candidates(T, table.points[np.array([keys[r] for r in got])], p, q)
         return rid
 
-    pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
-    sizes: dict[int, int] = {}  # largest complexity m -> cand1's draws
+    pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}  # active -> (ids drawn, m)
+    sizes: dict[int, int] = {}  # cand1's largest complexity m (cand2: 0) -> draws
 
     def sample(walk: list, i: int, last: bool) -> dict:
-        """cand1's samples of walk node i and, at the last level, of the nodes
-        after it while draws plus nodes x widest pool fit in `_FOLD_ELEMENTS`:
-        walk index -> (ids row, count).  A later node whose size raises ends it."""
+        """Samples of walk node i and, at the last level, of the nodes after it
+        while their draws, their fold (most candidates x sequences each) and
+        nodes x widest ids fit in `_FOLD_ELEMENTS`: walk index -> (ids row,
+        count).  A later node whose size raises ends the chunk before it."""
         js, chunk, total, width = [], [], 0, 0
         for j in range(i, len(walk) if last else i + 1):
             if not (a := walk[j][1]):
                 continue
-            if a not in pools:
+            if a not in pools and generator == "cand2":
+                pools[a] = (np.array(a), 0)
+            elif a not in pools:
                 ids = np.concatenate([seq_ids[v] for v in a])
                 pools[a] = (dedup_rows(ids), max(len(seq_ids[v]) for v in a))
+            ids, m = pools[a]
             try:
-                if (m := pools[a][1]) not in sizes:
-                    sizes[m] = guard_draws(cand1_sample_size(beta, delta_node, eps, p, m, ell))
+                if m not in sizes:
+                    sizes[m] = guard_draws(cand1_sample_size(beta, delta_node, eps, p, m, ell)
+                                           if m else cand2_sample_size(beta, delta_node))
             except (CapacityError, DomainError):
                 if chunk:
                     break
                 raise
-            total, width = total + sizes[m], max(width, len(pools[a][0]))
+            most = min(sizes[m], len(ids))  # distinct draws: cand2's candidates at most
+            most = tuple_count(most, ell, CANDIDATE_GUARD) if m else most  # cand1's: their tuples
+            total, width = total + sizes[m] + most * T.n, max(width, len(ids))
             if chunk and total + (len(chunk) + 1) * width > _FOLD_ELEMENTS:
                 break
             js.append(j)
-            chunk.append(pools[a])
-        ids = _cand1(chunk, beta, delta_node, eps, p, ell, rng)
+            chunk.append((ids, sizes[m]))
+        ids = _cand1(chunk, rng)
         return dict(zip(js, zip(ids, (ids >= 0).sum(axis=1).tolist())))
 
     best, nodes = [math.inf, []], 0  # the first cheapest leaf (cost, centers); nodes seen
@@ -329,26 +322,28 @@ def k_clustering(
             order = np.argsort(np.take_along_axis(D, act, 1), axis=1, kind="stable")
             acts.append(np.sort(np.take_along_axis(act, order[:, n_rm:], 1), axis=1))
         walk = [(s, tuple(act[s].tolist())) for s in range(len(D)) for act in acts]
-        block, kmax, drawn, end = [], 0, {}, -1  # a block's cand1 rows: one chunk, one width
+        block, drawn, end = [], {}, -1  # a block: one chunk, so its cand1 rows share one width
         try:
             for i, (s, a) in enumerate(walk):
                 count_nodes(1)
                 if not a:
                     draw, src, K = None, None, 0
-                elif generator == "cand2":
-                    draw = src = _cand2(a, table.simplified, beta, delta_node, rng)
-                    K = len(draw)
                 else:
                     if i not in drawn:
                         end = max(drawn := sample(walk, i, depth == k - 1))
-                    (draw, u), src = drawn[i], a
-                    K = guard_tuples(u, ell, CANDIDATE_GUARD)
+                    row, u = drawn[i]
+                    if generator == "cand1":
+                        draw, src, K = row, a, guard_tuples(u, ell, CANDIDATE_GUARD)
+                    else:  # each simplification maps to the first sequence drawn that yields it
+                        draw = src = {}
+                        for v in row[:u].tolist():
+                            draw.setdefault(table.simplified(v), v)
+                        K = len(draw)
                 if folded := not a or depth == k - 1:
                     block.append((s, src, draw, K))
                     count_nodes(K)
-                    kmax = max(kmax, K)
-                if not folded or i == end or len(block) * kmax * T.n >= _FOLD_ELEMENTS:
-                    full, block, kmax = block, [], 0
+                if not folded or i == end:
+                    full, block = block, []
                     fold(full, heads, D)
                 if not folded:
                     rid = resolve([draw])

@@ -1,6 +1,7 @@
 """Dataset file formats.
 
-JSON: ``{"dimension": d, "sequences": [[[x1, ..., xd], ...], ...]}``.
+JSON: ``{"dimension": d, "sequences": [[[x1, ..., xd], ...], ...]}``; the
+optional ``dimension`` must be an int >= 1.
 
 CSV: header ``seq_id,t,x1,...,xd``, one vertex per row, rows ordered by
 (seq_id, t); sequences appear in first-occurrence order of seq_id.
@@ -37,6 +38,8 @@ def _dataset_from_obj(obj) -> Dataset:
     if not isinstance(seqs, list) or not seqs:
         raise DomainError("dataset must contain at least one sequence")
     dim = obj.get("dimension")
+    if "dimension" in obj and (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1):
+        raise DomainError(f"dataset field 'dimension' must be an int >= 1, got {dim!r}")
     out = []
     for si, rows in enumerate(seqs):
         if not isinstance(rows, list) or not rows:

@@ -18,7 +18,7 @@ from dtwmean import (
     k_clustering,
     simplify,
 )
-from dtwmean.clustering import _cand1, _cand2, _PointTable, cand1_sample_size
+from dtwmean.clustering import _cand1, _PointTable, cand1_sample_size, cand2_sample_size
 
 from conftest import random_dataset, seq
 
@@ -70,7 +70,8 @@ def cand1_ids(T, beta, delta, eps, p, ell, seed):
     """The pool-id tuples `k_clustering`'s cand1 generator draws at its root:
     all tuples of length 1..ell over the sample, by length, then lexicographic."""
     pool_ids = np.arange(len(T.vertex_pool()))
-    [row] = _cand1([(pool_ids, T.m)], beta, delta, eps, p, ell, np.random.default_rng(seed))
+    size = cand1_sample_size(beta, delta, eps, p, T.m, ell)
+    [row] = _cand1([(pool_ids, size)], np.random.default_rng(seed))
     sample = row.tolist()
     return [c for L in range(1, ell + 1) for c in product(sample, repeat=L)]
 
@@ -92,11 +93,11 @@ def test_array_high_draws_equal_per_node_draws():
 
 
 def test_cand1_rows_are_each_nodes_first_draws_in_order():
-    pools = [(np.array([7, 3, 9]), 2), (np.array([4]), 1), (np.array([5, 6, 1, 8, 2]), 3)]
-    ids = _cand1(pools, 4.0, 0.3, 1.0, 1.0, 2, np.random.default_rng(5))
+    pools = [(np.array([7, 3, 9]), 9), (np.array([4]), 2), (np.array([5, 6, 1, 8, 2]), 13)]
+    ids = _cand1(pools, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    for row, (pool, m) in zip(ids.tolist(), pools):
-        draws = rng.integers(0, len(pool), size=cand1_sample_size(4.0, 0.3, 1.0, 1.0, m, 2))
+    for row, (pool, size) in zip(ids.tolist(), pools):
+        draws = rng.integers(0, len(pool), size=size)
         sample = list(dict.fromkeys(pool[draws].tolist()))
         assert row == sample + [-1] * (ids.shape[1] - len(sample))
 
@@ -113,7 +114,10 @@ class TestCandidateGenerators:
         s = seq(0, 4, 4, 0)
         T = Dataset([s] * 5)
         table = _PointTable(T, 1.0, 2)
-        found = _cand2(tuple(range(T.n)), table.simplified, 4.0, 0.5, np.random.default_rng(3))
+        [row] = _cand1([(np.arange(T.n), cand2_sample_size(4.0, 0.5))], np.random.default_rng(3))
+        found: dict = {}
+        for i in row[row >= 0].tolist():
+            found.setdefault(table.simplified(i), i)
         assert len(found) == 1
         [(c, i)] = found.items()
         cand = table.sequence(c, (i,))

@@ -1,8 +1,8 @@
 """The batched search of `k_clustering` against a per-node reference.
 
 `reference_k_clustering` below is the search as it ran before its last level
-was batched: one node at a time, each cand1 sample drawn by its own
-`rng.integers` call, every candidate a pool-id tuple, each row looked up by
+was batched: one node at a time, each cand1 or cand2 sample drawn by its
+own `rng.integers` call, every candidate a pool-id tuple, each row looked up by
 its tuple in a dict.  The batched search must return the same
 cost, centers, node count and scored-row count, bit for bit, and raise the
 same first exception, with the same rows scored before it.
@@ -20,7 +20,7 @@ import pytest
 import dtwmean.clustering as clustering
 import dtwmean.meanapprox as meanapprox
 from dtwmean import CapacityError, ClusteringParams, Dataset, DomainError, PointSequence
-from dtwmean.clustering import CenterSet, _cand2, _PointTable, k_clustering
+from dtwmean.clustering import CenterSet, _PointTable, k_clustering
 from dtwmean.core import dedup_rows
 from dtwmean.meanapprox import guard_draws, guard_tuples, tuple_count
 
@@ -56,7 +56,10 @@ def reference_k_clustering(
 
     def generate(active):
         if generator == "cand2":
-            found = _cand2(active, table.simplified, beta, delta_node, rng)
+            size = guard_draws(clustering.cand2_sample_size(beta, delta_node))
+            found: dict[tuple[int, ...], int] = {}
+            for i in rng.integers(0, len(active), size=size).tolist():
+                found.setdefault(table.simplified(active[i]), active[i])
             return list(found), [(i,) for i in found.values()]
         if active not in pools:
             ids = np.concatenate([seq_ids[i] for i in active])
@@ -212,18 +215,27 @@ def uneven_sizes(monkeypatch, overflow_m=None):
     monkeypatch.setattr(clustering, "cand1_sample_size", size)
 
 
+GUARD_CASES = [
+    (guard, "cand1", sizes, seed)
+    for guard in ("SAMPLE_GUARD", "CANDIDATE_GUARD")
+    for sizes, seed in (("formula", 2), ("uneven", 0), ("uneven", 5))
+] + [("SAMPLE_GUARD", "cand2", "formula", seed) for seed in (2, 5)]
+
+
 @pytest.mark.parametrize("fold_elements", [24, clustering._FOLD_ELEMENTS])
-@pytest.mark.parametrize("sizes,seed", [("formula", 2), ("uneven", 0), ("uneven", 5)])
-@pytest.mark.parametrize("guard", ["SAMPLE_GUARD", "CANDIDATE_GUARD"])
+@pytest.mark.parametrize("guard,gen,sizes,seed", GUARD_CASES)
 def test_every_sample_and_candidate_guard_raises_the_reference_error_at_the_same_point(
-    monkeypatch, fold_elements, sizes, seed, guard
+    monkeypatch, fold_elements, guard, gen, sizes, seed
 ):
     T = tricky_dataset(1, 4, seed)
     params = ClusteringParams(k=2, beta=5.5, delta=0.3, ell=2, eps=4.0)
     monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", fold_elements)
     if sizes == "uneven":
         uneven_sizes(monkeypatch)
-    if guard == "SAMPLE_GUARD":
+    if gen == "cand2":  # one size for every node, so the root trips the guard or none does
+        size = clustering.cand2_sample_size(5.5, 0.1)
+        values = range(size - 1, size + 1)
+    elif guard == "SAMPLE_GUARD":
         drawn = [clustering.cand1_sample_size(5.5, 0.1, 4.0, 1.0, m, 2) for m in (1, 2, 3)]
         values = range(min(drawn) - 1, max(drawn) + 1)
     else:
@@ -231,10 +243,10 @@ def test_every_sample_and_candidate_guard_raises_the_reference_error_at_the_same
     raised_after = set()  # the number of score_candidates calls before each error
     for value in values:
         monkeypatch.setattr(meanapprox if guard == "SAMPLE_GUARD" else clustering, guard, value)
-        want = outcome(reference_k_clustering, T, params, "cand1", seed, monkeypatch)
+        want = outcome(reference_k_clustering, T, params, gen, seed, monkeypatch)
         if want[0] == "CapacityError":
             raised_after.add(len(want[2]))
-        assert outcome(k_clustering, T, params, "cand1", seed, monkeypatch) == want
+        assert outcome(k_clustering, T, params, gen, seed, monkeypatch) == want
     assert 0 in raised_after  # the root trips the smallest guards
     if sizes == "uneven":  # and some last-level node, after rows were scored, a larger one
         assert max(raised_after) > 0
@@ -253,7 +265,8 @@ def test_an_overflowing_sample_size_is_raised_at_its_node(monkeypatch, seed):
         assert outcome(k_clustering, T, params, "cand1", seed, monkeypatch) == want
 
 
-def test_the_cluster_planted_shape_matches_the_reference(monkeypatch):
+@pytest.mark.parametrize("gen,k", [("cand1", 2), ("cand2", 2), ("cand2", 3)])
+def test_the_cluster_planted_shape_matches_the_reference(monkeypatch, gen, k):
     # the benchmark's cluster-planted ops: two groups of three two-vertex sequences
     rng = np.random.default_rng(4)
     T = Dataset([
@@ -261,16 +274,18 @@ def test_the_cluster_planted_shape_matches_the_reference(monkeypatch):
         for base in (0.0, 30.0)
         for _ in range(3)
     ])
-    params = ClusteringParams(k=2, beta=8.0, delta=0.2, ell=2, eps=1.0)
+    params = ClusteringParams(k=k, beta=4.0 * k, delta=0.2, ell=2, eps=1.0)
     chunks = []
     real = clustering._cand1
 
-    def spy(nodes, *args):
+    def spy(nodes, rng):
         chunks.append(len(nodes))
-        return real(nodes, *args)
+        return real(nodes, rng)
 
-    want = outcome(reference_k_clustering, T, params, "cand1", 17, monkeypatch)
+    want = outcome(reference_k_clustering, T, params, gen, 17, monkeypatch)
     monkeypatch.setattr(clustering, "_cand1", spy)
-    assert outcome(k_clustering, T, params, "cand1", 17, monkeypatch) == want
-    # the root draws alone; the one chains call below it, in several chunks of many nodes
-    assert chunks[0] == 1 and len(chunks) > 2 and sum(chunks) > 10 * len(chunks)
+    assert outcome(k_clustering, T, params, gen, 17, monkeypatch) == want
+    # the root and upper levels draw alone; the last level in chunks of several nodes
+    assert chunks[0] == 1 and max(chunks) > 1
+    if gen == "cand1":  # the one chains call below the root, in several chunks of many nodes
+        assert len(chunks) > 2 and sum(chunks) > 10 * len(chunks)

@@ -33,7 +33,7 @@ from dtwmean import (
     k_clustering,
     simplify,
 )
-from dtwmean.clustering import _cand2, _PointTable
+from dtwmean.clustering import _cand1, _PointTable, cand2_sample_size
 
 from conftest import report_changes
 
@@ -151,8 +151,8 @@ def test_cand2_keeps_the_sign_of_zero_of_each_simplification():
     T = Dataset([PointSequence([[0.0], [1.0], [2.0]]), PointSequence([[-0.0], [7.0], [8.0]])])
     want = [simplify(s, 3, 1.0).sequence.vertices for s in T.sequences]
     table = _PointTable(T, 1.0, 3)
-    found = _cand2(tuple(range(T.n)), table.simplified, 4.0, 0.5, np.random.default_rng(0))
-    got = [table.sequence(c, (i,)) for c, i in found.items()]
+    [row] = _cand1([(np.arange(T.n), cand2_sample_size(4.0, 0.5))], np.random.default_rng(0))
+    got = [table.sequence(table.simplified(i), (i,)) for i in row[row >= 0].tolist()]
     assert len(got) == 2
     for c in got:
         assert any(

@@ -30,6 +30,22 @@ class TestJson:
         with pytest.raises(DomainError, match="expected 2 coordinates"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("dim", ["2", 0, True, 2.0, None])
+    def test_dimension_must_be_a_positive_int(self, capsys, tmp_path, dim):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"dimension": dim, "sequences": [[[0.0, 1.0]], [[1.0, 2.0]]]}))
+        assert main(["dtw", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: dataset field 'dimension' must be an int >= 1, got {dim!r}\n"
+        )
+
+    def test_a_valid_dimension_loads(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"dimension": 2, "sequences": [[[0.0, 1.0]], [[1.0, 2.0]]]}))
+        assert load_dataset(path).dimension == 2
+        assert main(["dtw", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text("")

@@ -13,7 +13,7 @@ from dtwmean import (
     mean_c,
     mean_c_d,
 )
-from dtwmean.clustering import _cand1, _cand2, _PointTable, cand1_sample_size, cand2_sample_size
+from dtwmean.clustering import ClusteringParams, cand1_sample_size, cand2_sample_size, k_clustering
 from dtwmean.meanapprox import dedup_rows, enumerate_tuples, eps_prime, mean_c_sample_size
 from dtwmean.ranges import epsilon_net
 
@@ -77,19 +77,14 @@ class TestSampleGuard:
             mean_c_sample_size(3, 2, 0.3, 1.0, 1.0),
             lambda T: mean_c(T, 0.3, 1.0, 1.0, 2, seed=0),
         ),
+        # at k = 1 only the root draws, at delta / (k + 1) = 0.3
         "cand1": (
             cand1_sample_size(5.0, 0.3, 1.0, 1.0, 3, 2),
-            lambda T: _cand1(
-                [(np.arange(len(T.vertex_pool())), T.m)], 5.0, 0.3, 1.0, 1.0, 2,
-                np.random.default_rng(0),
-            ),
+            lambda T: k_clustering(T, ClusteringParams(k=1, beta=5.0, delta=0.6), "cand1"),
         ),
         "cand2": (
             cand2_sample_size(5.0, 0.3),
-            lambda T: _cand2(
-                tuple(range(T.n)), _PointTable(T, 1.0, 2).simplified, 5.0, 0.3,
-                np.random.default_rng(0),
-            ),
+            lambda T: k_clustering(T, ClusteringParams(k=1, beta=5.0, delta=0.6), "cand2"),
         ),
     }
 
