@@ -131,21 +131,14 @@ def score_tuples(
     return totals
 
 
-def argmin_fold(groups, best=(math.inf, None)):
-    """Fold (scores, pick) groups, in order, into `best` = (cost, winner): a
-    score strictly below the cost so far wins, the first index of a group
-    first; the winner is pick(i) of the winning index."""
-    best_cost, winner = best
-    for scores, pick in groups:
+def argmin_tuples(T: Dataset, points: np.ndarray, ell: int, p: float, q: float,
+                  best=(math.inf, None)):
+    """Fold `score_tuples`' levels, in order, into `best` = (cost, winner): a
+    score strictly below the cost so far wins, the first tuple of a level
+    first; the winner is the winning tuple's (L, d) vertices."""
+    (best_cost, winner), u = best, len(points)
+    for L, scores in enumerate(score_tuples(T, points, ell, p, q), 1):
         i = int(np.argmin(scores))
         if scores[i] < best_cost:
-            best_cost, winner = float(scores[i]), pick(i)
+            best_cost, winner = float(scores[i]), points[list(np.unravel_index(i, (u,) * L))]
     return best_cost, winner
-
-
-def tuple_groups(T: Dataset, points: np.ndarray, ell: int, p: float, q: float):
-    """`score_tuples` as `argmin_fold` groups; pick(i) is tuple i's (L, d) vertices."""
-    shape: tuple[int, ...] = ()
-    for scores in score_tuples(T, points, ell, p, q):
-        shape += (len(points),)
-        yield scores, lambda i, shape=shape: points[list(np.unravel_index(i, shape))]

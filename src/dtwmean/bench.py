@@ -123,14 +123,10 @@ def _objective(cfg: RunConfig) -> dict:
 
 def execute_run(T: Dataset, cfg: RunConfig) -> dict:
     """`solve` as a benchmark row; a failure is recorded in the row, not raised."""
-    row: dict = {
-        "algo": cfg.algo,
-        "objective": _objective(cfg),
-        "seed": cfg.seed,
-        "flags": [],
-        "candidates": None,
-        "ratio": None,
-    }
+    row: dict = {"algo": cfg.algo, "objective": _objective(cfg)}
+    if "seed" in READS.get(cfg.algo, ()):  # a row names the seed only where it was read
+        row["seed"] = cfg.seed
+    row.update(flags=[], candidates=None, ratio=None)
     start = time.perf_counter()
     try:
         row.update(solve(T, cfg))

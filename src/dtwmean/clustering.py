@@ -38,6 +38,7 @@ from .core import (
     PointSequence,
     _distances,
     _fold,
+    _fold_rows,
     _pow_ends,
     dedup_rows,
     q_overflow_error,
@@ -164,7 +165,9 @@ def k_clustering(
     one center exists) on discarding the ceil(|active| * (1 - 2k/beta))
     active points closest to the current centers.  Costs are always accounted
     over the full dataset; the returned cost is the minimum over all complete
-    center sets explored, the first found in depth-first order on ties.
+    center sets explored, the first found in depth-first order on ties.  Each
+    total adds its terms in sequence order (`core._fold_rows`), so the cost is
+    `clustering_cost` of the returned centers bit for bit.
 
     Per node the search draws and counts against `NODE_GUARD` (once, and
     once per leaf child).  Nodes with fewer than k - 1 centers then score
@@ -288,8 +291,7 @@ def k_clustering(
         if nodes > NODE_GUARD:
             raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
 
-    @np.errstate(over="ignore")  # a sum that overflows is an inf total, never the best
-    def fold(block: list, heads: list, D: np.ndarray) -> None:
+    def fold(block: list, heads: list, D: np.ndarray, sums: list) -> None:
         """Record walked nodes in order: by first cheapest candidate, or dmin sum."""
         drawn = [b for b in block if b[2] is not None]
         if drawn:
@@ -299,12 +301,12 @@ def k_clustering(
             for s, hi in {b[0]: end for b, end in zip(drawn, ends.tolist())}.items():
                 np.minimum(D[s], totals[lo:hi], out=totals[lo:hi])
                 lo = hi
-            totals = totals.sum(axis=1)
+            totals = _fold_rows(totals)
             firsts = iter(zip(starts.tolist(), np.minimum.reduceat(totals, starts).tolist()))
         for s, src, draw, K in block:
             if draw is None:
-                if (total := float(D[s].sum())) < best[0]:
-                    best[:] = total, heads[s]
+                if sums[s] < best[0]:
+                    best[:] = sums[s], heads[s]
                 continue
             lo, total = next(firsts)
             if total < best[0]:
@@ -323,6 +325,7 @@ def k_clustering(
             acts.append(np.sort(np.take_along_axis(act, order[:, n_rm:], 1), axis=1))
         walk = [(s, tuple(act[s].tolist())) for s in range(len(D)) for act in acts]
         block, drawn, end = [], {}, -1  # a block: one chunk, so its cand1 rows share one width
+        sums = _fold_rows(D).tolist()  # a leaf's total: its chain's dmin summed
         try:
             for i, (s, a) in enumerate(walk):
                 count_nodes(1)
@@ -344,13 +347,13 @@ def k_clustering(
                     count_nodes(K)
                 if not folded or i == end:
                     full, block = block, []
-                    fold(full, heads, D)
+                    fold(full, heads, D, sums)
                 if not folded:
                     rid = resolve([draw])
                     sub = [heads[s] + [(keys[r], src)] for r in rid.tolist()]
                     chains(sub, np.minimum(D[s], rows[rid]), np.array(a), depth + 1)
         finally:
-            fold(block, heads, D)
+            fold(block, heads, D, sums)
 
     # the root, no center and dmin inf (min(inf, row) is the row), is a chain
     chains([[]], np.full((1, T.n), math.inf), np.arange(T.n), 0)

@@ -527,6 +527,17 @@ def _fold(distances: Iterable[float], q: float) -> float:
     return total
 
 
+def _fold_rows(terms: np.ndarray) -> np.ndarray:
+    """Each row of a (rows, sequences) array of q-th powers added left to
+    right from 0.0, one column at a time, so bit for bit as `_fold` adds them
+    (numpy's pairwise `sum` is not); a sum that overflows reads inf."""
+    total = np.zeros(len(terms))
+    with np.errstate(over="ignore"):
+        for column in terms.T:
+            total += column
+    return total
+
+
 def cost(T: Dataset, c, p: float, q: float) -> float:
     """Sum over the dataset of dtw_p(c, tau)^q, folded in sequence order."""
     cseq = as_sequence(c)

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from ._batch import argmin_fold, tuple_groups
+from ._batch import argmin_tuples
 from .core import Dataset, PointSequence, dedup_rows, seeded_rng
 from .errors import CapacityError, DomainError, require
 from .ranges import epsilon_net
@@ -104,7 +104,7 @@ def _cheapest_tuple(
     """Cheapest sequence of length <= ell over `points` under cost_p^q, the
     first in enumeration order on ties, with at most `guard` candidates."""
     total = guard_tuples(len(points), ell, guard, hint)
-    best, rows = argmin_fold(tuple_groups(T, points, ell, p, q))
+    best, rows = argmin_tuples(T, points, ell, p, q)
     return MeanResult(sequence=PointSequence(rows), cost=best, candidates_scored=total)
 
 

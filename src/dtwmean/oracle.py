@@ -16,6 +16,7 @@ verify the approximation algorithms, not to be fast.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +26,12 @@ from .core import (
     Dataset,
     PointSequence,
     Warping,
+    _fold_rows,
     _pow_ends,
     _q_powers,
     enumerate_warpings,
     optimal_sections,
+    q_overflow_error,
     warping_count,
 )
 from .errors import CapacityError, DomainError, require
@@ -188,11 +191,11 @@ def exact_mean(
 
 
 def _partitions_up_to_k(n: int, k: int):
-    """Set partitions of range(n) into at most k blocks, canonical order."""
+    """Set partitions of range(n) into at most k tuple blocks, canonical order."""
 
     def rec(i: int, blocks: list[list[int]]):
         if i == n:
-            yield [list(b) for b in blocks]
+            yield [tuple(b) for b in blocks]
             return
         for b in blocks:
             b.append(i)
@@ -214,7 +217,12 @@ def exact_clustering(
     p: float | None = None,
     q: float | None = None,
 ) -> tuple[list[PointSequence], float]:
-    """Optimal center set of size <= k by exhausting all dataset partitions."""
+    """Optimal center set of size <= k by exhausting all dataset partitions.
+
+    Each block's exact center is found once.  A partition's total adds its
+    terms in sequence order (`core._fold_rows`), so the cost is `clustering_cost`
+    of the centers bit for bit; DomainError if every total overflows.
+    """
     require(k >= 1, "k must be >= 1")
     if T.n > CLUSTER_MAX_N or k > CLUSTER_MAX_K:
         raise CapacityError(
@@ -222,25 +230,14 @@ def exact_clustering(
         )
     p_eff, q_eff = _resolve_mode(T, mode, p, q)
 
-    # block -> (its exact center, the center's row of dtw_p(c, tau)^q)
-    center_cache: dict[frozenset, tuple[PointSequence, np.ndarray]] = {}
+    @functools.cache  # a block -> its exact center and that center's row of dtw_p(c, tau)^q
+    def center_of(block: tuple[int, ...]) -> tuple[PointSequence, np.ndarray]:
+        c = exact_mean(Dataset([T.sequences[i] for i in block]), ell, mode, p, q).mean
+        return c, np.array(_q_powers(_pow_ends([c], T.sequences, p_eff)[0], p_eff, q_eff))
 
-    def center_of(block: list[int]) -> tuple[PointSequence, np.ndarray]:
-        key = frozenset(block)
-        if key not in center_cache:
-            sub = Dataset([T.sequences[i] for i in block])
-            c = exact_mean(sub, ell, mode, p, q).mean
-            row = _q_powers(_pow_ends([c], T.sequences, p_eff)[0], p_eff, q_eff)
-            center_cache[key] = (c, np.array(row))
-        return center_cache[key]
-
-    best_cost = math.inf
-    best_centers: list[PointSequence] | None = None
-    for blocks in _partitions_up_to_k(T.n, k):
-        centers, rows = zip(*(center_of(b) for b in blocks))
-        total = float(np.min(np.stack(rows), axis=0).sum())
-        if total < best_cost:
-            best_cost = total
-            best_centers = list(centers)
-    assert best_centers is not None
-    return best_centers, best_cost
+    parts = [[center_of(b) for b in blocks] for blocks in _partitions_up_to_k(T.n, k)]
+    totals = _fold_rows(np.array([np.min([row for _, row in part], axis=0) for part in parts]))
+    i = int(np.argmin(totals))  # the first cheapest partition; an inf total never wins
+    if math.isinf(totals[i]):
+        raise q_overflow_error(q_eff)
+    return [c for c, _ in parts[i]], float(totals[i])

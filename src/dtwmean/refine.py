@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import argmin_fold, tuple_groups
+from ._batch import argmin_tuples
 from .core import Dataset, PointSequence, _distances, _fold, _pow_ends, seeded_rng
 from .errors import CapacityError, require
 from .meanapprox import MeanResult, tuple_count
@@ -193,7 +193,7 @@ def med_appr(
             total += added
             fallback = False
             if fresh:
-                best = argmin_fold(tuple_groups(T, cover, ell, p, 1.0), best)
+                best = argmin_tuples(T, cover, ell, p, 1.0, best)
 
     best_cost, winner = best
     flags = ["fallback"] if fallback else []

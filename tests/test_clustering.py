@@ -277,3 +277,29 @@ class TestKClustering:
             if res.cost <= factor * opt + 1e-9:
                 hits += 1
         assert hits / trials >= 0.75
+
+
+# From n = 8 on, numpy's pairwise `sum` adds the per-sequence terms in another
+# order than `clustering_cost`'s fold, so these fail if a search sums that way.
+@pytest.mark.parametrize("generator", ["cand1", "cand2"])
+def test_reported_k_clustering_cost_recomputes_bit_for_bit(generator):
+    differ = []
+    for k, p, q in product((1, 2), (1.0, 2.0), (1.0, 2.0)):
+        params = ClusteringParams(k=k, beta=2 * k + 1.0, delta=0.5, p=p, q=q, ell=1, eps=8.0)
+        for n in range(2, 20):
+            T = random_dataset(np.random.default_rng([n, k, int(p), int(q)]), n, max_len=2)
+            res = k_clustering(T, params, generator, seed=n)
+            if res.cost != clustering_cost(T, res.centers, p, q):
+                differ.append((n, k, p, q))
+    assert differ == []
+
+
+def test_reported_exact_clustering_cost_recomputes_bit_for_bit():
+    differ = []
+    for mode, d, pq in (("line-1-1", 1, 1.0), ("euclidean-2-2", 2, 2.0)):
+        for s in range(4):
+            T = random_dataset(np.random.default_rng([8, s]), 8, max_len=2, dim=d)
+            centers, total = exact_clustering(T, 2, 1, mode)
+            if total != clustering_cost(T, centers, pq, pq):
+                differ.append((mode, s))
+    assert differ == []

@@ -3,7 +3,8 @@
 `reference_k_clustering` below is the search as it ran before its last level
 was batched: one node at a time, each cand1 or cand2 sample drawn by its
 own `rng.integers` call, every candidate a pool-id tuple, each row looked up by
-its tuple in a dict.  The batched search must return the same
+its tuple in a dict, each total added in sequence order as `clustering_cost`
+adds it.  The batched search must return the same
 cost, centers, node count and scored-row count, bit for bit, and raise the
 same first exception, with the same rows scored before it.
 """
@@ -23,6 +24,14 @@ from dtwmean import CapacityError, ClusteringParams, Dataset, DomainError, Point
 from dtwmean.clustering import CenterSet, _PointTable, k_clustering
 from dtwmean.core import dedup_rows
 from dtwmean.meanapprox import guard_draws, guard_tuples, tuple_count
+
+
+def in_order(terms: np.ndarray) -> float:
+    """The sum of `terms`, added left to right from 0.0 as `clustering_cost` adds them."""
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
 
 
 def reference_k_clustering(
@@ -89,13 +98,13 @@ def reference_k_clustering(
         count_nodes(1)
         if len(centers) == k or not active:
             if dmin is not None:
-                record(centers, float(dmin.sum()))
+                record(centers, in_order(dmin))
             return
         cands, srcs = generate(active)
         R = rows_of(cands)
         if len(centers) == k - 1:
             count_nodes(len(cands))
-            totals = (R if dmin is None else np.minimum(dmin, R)).sum(axis=1)
+            totals = np.array([in_order(r) for r in (R if dmin is None else np.minimum(dmin, R))])
             i = int(np.argmin(totals))
             record(centers + [(cands[i], srcs[i])], float(totals[i]))
         else:
@@ -152,8 +161,18 @@ def tricky_dataset(d: int, depth: int, seed: int) -> Dataset:
     return Dataset([PointSequence(v) for v in seqs])
 
 
+def wide_dataset(n: int, d: int, seed: int) -> Dataset:
+    """n >= 8 sequences of one or two normal vertices rounded to one decimal:
+    enough terms that numpy's pairwise `sum` adds them in another order than
+    a left-to-right fold, and repeated vertices."""
+    rng = np.random.default_rng(seed)
+    return Dataset([PointSequence(np.round(rng.normal(size=(int(rng.integers(1, 3)), d)), 1))
+                    for _ in range(n)])
+
+
 PQ = ((1.0, 1.0), (2.0, 2.0), (1.5, 3.0))
 GRID = list(itertools.product(("cand1", "cand2"), (1, 2, 3), (1, 2, 3), PQ, (1, 2)))
+WIDE_GRID = list(itertools.product(("cand1", "cand2"), (1, 2), PQ, (8, 9, 13)))
 
 
 @pytest.mark.parametrize(
@@ -164,6 +183,19 @@ def test_batched_search_matches_the_per_node_reference(monkeypatch, gen, k, ell,
     T = tricky_dataset(d, k + ell, seed=GRID.index((gen, k, ell, pq, d)))
     params = ClusteringParams(k=k, beta=2 * k + 1.5, delta=0.3, p=p, q=q, ell=ell, eps=4.0)
     if d == 2:  # blocks of a few nodes, so that folds also happen mid-walk
+        monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", 256)
+    want = outcome(reference_k_clustering, T, params, gen, 3, monkeypatch)
+    assert outcome(k_clustering, T, params, gen, 3, monkeypatch) == want
+
+
+@pytest.mark.parametrize(
+    "gen,k,pq,n", WIDE_GRID, ids=lambda v: "p%gq%g" % v if isinstance(v, tuple) else str(v)
+)
+def test_batched_search_matches_the_reference_from_eight_sequences(monkeypatch, gen, k, pq, n):
+    p, q = pq
+    T = wide_dataset(n, 1, seed=WIDE_GRID.index((gen, k, pq, n)))
+    params = ClusteringParams(k=k, beta=2 * k + 1.5, delta=0.5, p=p, q=q, ell=1, eps=8.0)
+    if n == 9:  # blocks of a few nodes, so that folds also happen mid-walk
         monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", 256)
     want = outcome(reference_k_clustering, T, params, gen, 3, monkeypatch)
     assert outcome(k_clustering, T, params, gen, 3, monkeypatch) == want

@@ -666,3 +666,16 @@ class TestDedupRows:
         got = dedup_rows(ids)
         assert got.dtype == np.intp
         assert got.tolist() == list(dict.fromkeys(ids.tolist()))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 33])
+def test_fold_rows_adds_each_row_as_fold_does(n):
+    # from 8 terms on numpy's pairwise `sum` adds in another order
+    rng = np.random.default_rng(n)
+    terms = rng.lognormal(sigma=3.0, size=(200, n))
+    terms[0, -2:] = 1e308  # the last sum overflows
+    got = core._fold_rows(terms)
+    assert got[0] == math.inf
+    with pytest.raises(DomainError):
+        core._fold(terms[0].tolist(), 1.0)
+    assert [x.hex() for x in got[1:]] == [core._fold(r, 1.0).hex() for r in terms[1:].tolist()]

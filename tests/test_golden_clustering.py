@@ -4,7 +4,10 @@
 the input dataset, the parameters, and the centers and cost returned by
 `k_clustering`, all floats written with `float.hex`.  The file was recorded
 from the scalar-row implementation that preceded the point-table search;
-any refactor of the clustering layer must reproduce it exactly.
+any refactor of the clustering layer must reproduce it exactly.  Its
+n = 9 cases were re-recorded when the search's totals began to add their
+terms in sequence order, as `clustering_cost` does.  Its `exact` list holds
+`exact_clustering`'s centers and cost at n = 8, in each oracle mode.
 
 Re-record (on purpose only) with:
 
@@ -30,6 +33,7 @@ from dtwmean import (
     ClusteringParams,
     Dataset,
     PointSequence,
+    exact_clustering,
     k_clustering,
     simplify,
 )
@@ -47,6 +51,14 @@ PQ = ((1.0, 1.0), (2.0, 2.0), (1.5, 3.0))
 DIMS = (1, 2)
 SEEDS = (0, 1, 2)
 GRID = list(itertools.product(GENERATORS, KS, PQ, DIMS, SEEDS))
+
+#: mode -> (d, ell, p, q) of the exact_clustering cases, each at k = 2 and 3
+EXACT_MODES = {
+    "line-1-1": (1, 2, None, None),
+    "euclidean-2-2": (2, 1, None, None),
+    "discrete": (2, 2, 1.5, 3.0),
+}
+EXACT_GRID = list(itertools.product(EXACT_MODES, (2, 3)))
 
 
 def golden_dataset(d: int, seed: int) -> Dataset:
@@ -94,6 +106,27 @@ def record() -> list[dict]:
     return cases
 
 
+def exact_dataset(d: int) -> Dataset:
+    """The first eight sequences of golden_dataset(d, 1), as many as
+    `exact_clustering` takes."""
+    return Dataset(golden_dataset(d, 1).sequences[:8])
+
+
+def record_exact() -> list[dict]:
+    cases = []
+    for mode, k in EXACT_GRID:
+        d, ell, p, q = EXACT_MODES[mode]
+        centers, total = exact_clustering(exact_dataset(d), k, ell, mode, p, q)
+        cases.append(
+            {
+                "mode": mode, "k": k, "d": d, "ell": ell, "p": p, "q": q,
+                "centers": [_hex(c.vertices) for c in centers],
+                "cost": float(total).hex(),
+            }
+        )
+    return cases
+
+
 def _key(c: dict) -> tuple:
     return (c["generator"], c["k"], (c["p"], c["q"]), c["d"], c["seed"])
 
@@ -120,6 +153,25 @@ def test_k_clustering_matches_golden(golden, key):
     res = k_clustering(T, golden_params(k, p, q), gen, seed=seed)
     assert float(res.cost).hex() == case["cost"]
     assert [_hex(c.vertices) for c in res.centers] == case["centers"]
+
+
+@pytest.fixture(scope="module")
+def golden_exact() -> dict:
+    return {(c["mode"], c["k"]): c for c in json.loads(GOLDEN.read_text())["exact"]}
+
+
+def test_golden_exact_grid_is_complete(golden_exact):
+    assert sorted(golden_exact) == sorted(EXACT_GRID)
+
+
+@pytest.mark.parametrize("mode,k", EXACT_GRID)
+def test_exact_clustering_matches_golden(golden_exact, mode, k):
+    case = golden_exact[(mode, k)]
+    d, ell, p, q = EXACT_MODES[mode]
+    assert (case["d"], case["ell"], case["p"], case["q"]) == (d, ell, p, q)
+    centers, total = exact_clustering(exact_dataset(d), k, ell, mode, p, q)
+    assert float(total).hex() == case["cost"]
+    assert [_hex(c.vertices) for c in centers] == case["centers"]
 
 
 #: (generator, d, seed, k, N): N is the search-node count of the scalar-row
@@ -173,8 +225,9 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)
-    rec = record()
-    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
-    report_changes(old, rec, KEY_FIELDS)
-    lines = ",\n".join(json.dumps(c) for c in rec)
-    GOLDEN.write_text('{"cases": [\n' + lines + "\n]}\n")
+    rec, exact = record(), record_exact()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    report_changes(old.get("cases", []), rec, KEY_FIELDS)
+    report_changes(old.get("exact", []), exact, ("mode", "k"))
+    lines, exact_lines = (",\n".join(json.dumps(c) for c in cs) for cs in (rec, exact))
+    GOLDEN.write_text('{"cases": [\n' + lines + '\n], "exact": [\n' + exact_lines + "\n]}\n")

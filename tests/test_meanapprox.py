@@ -134,13 +134,13 @@ class TestMeanC:
         # duplicated vertices and both signs of zero, so the draws repeat rows
         T = Dataset([[[0.0, 1.0], [-0.0, 1.0], [2.0, 0.0]], [[2.0, -0.0], [0.0, 1.0], [1.0, 1.0]]])
         scored = []
-        real = meanapprox.tuple_groups
+        real = meanapprox.argmin_tuples
 
         def recording(T, points, ell, p, q):
             scored.append(points.copy())
             return real(T, points, ell, p, q)
 
-        monkeypatch.setattr(meanapprox, "tuple_groups", recording)
+        monkeypatch.setattr(meanapprox, "argmin_tuples", recording)
         res = mean_c(T, 0.3, 1.0, 1.0, 2, seed=seed)
         pool = T.vertex_pool()
         size = mean_c_sample_size(T.m, 2, 0.3, 1.0, 1.0)

@@ -149,3 +149,9 @@ class TestExactClustering:
             exact_clustering(T, 2, 2, "line-1-1")
         with pytest.raises(CapacityError):
             exact_clustering(Dataset([seq(0)]), 4, 1, "line-1-1")
+
+    def test_every_partition_total_overflowing_raises_the_q_overflow_error(self, monkeypatch):
+        # every term fits float64, no sum of two does, so no partition's total is finite
+        monkeypatch.setattr(oracle, "_q_powers", lambda ends, p, q: [1e308] * len(ends))
+        with pytest.raises(DomainError, match="q = 1.0, or a sum of such powers"):
+            exact_clustering(Dataset([seq(0), seq(1), seq(2)]), 2, 1, "line-1-1")

@@ -246,18 +246,18 @@ class TestRepeatedCovers:
 
     def test_one_cover_per_distinct_draw_and_rung(self, monkeypatch):
         calls, scored = [], []
-        real_cover, real_groups = refine.grid_cover, refine.tuple_groups
+        real_cover, real_argmin = refine.grid_cover, refine.argmin_tuples
 
         def counting_cover(union, gamma):
             calls.append((gamma, union.centers.tobytes()))
             return real_cover(union, gamma)
 
-        def counting_groups(T, points, *args):
+        def counting_argmin(T, points, *args):
             scored.append(points.tobytes())
-            return real_groups(T, points, *args)
+            return real_argmin(T, points, *args)
 
         monkeypatch.setattr(refine, "grid_cover", counting_cover)
-        monkeypatch.setattr(refine, "tuple_groups", counting_groups)
+        monkeypatch.setattr(refine, "argmin_tuples", counting_argmin)
         res = refine.med_appr(self.T, *self.ARGS)
         gammas = list(dict.fromkeys(g for g, _ in calls))
         assert len(gammas) == 7
@@ -293,13 +293,13 @@ class TestEqualCoversOfOtherDraws:
 
     def test_rescoring_an_equal_cover_only_ties(self, monkeypatch):
         scored = []
-        real_groups = refine.tuple_groups
+        real_argmin = refine.argmin_tuples
 
-        def counting_groups(T, points, *args):
+        def counting_argmin(T, points, *args):
             scored.append(points.tobytes())
-            return real_groups(T, points, *args)
+            return real_argmin(T, points, *args)
 
-        monkeypatch.setattr(refine, "tuple_groups", counting_groups)
+        monkeypatch.setattr(refine, "argmin_tuples", counting_argmin)
         res = refine.med_appr(self.T, *self.ARGS)
         # one cover per distinct draw and rung; draws 1 and 0 build equal ones
         assert (len(scored), len(set(scored))) == (21, 14)
