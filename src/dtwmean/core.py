@@ -528,9 +528,9 @@ def _fold(distances: Iterable[float], q: float) -> float:
 
 
 def _fold_rows(terms: np.ndarray) -> np.ndarray:
-    """Each row of a (rows, sequences) array of q-th powers added left to
-    right from 0.0, one column at a time, so bit for bit as `_fold` adds them
-    (numpy's pairwise `sum` is not); a sum that overflows reads inf."""
+    """Each row of a (rows, sequences) array of q-th powers added left to right
+    from 0.0, bit for bit as `_fold` adds it (numpy's pairwise `sum` is not), one
+    column at a time (faster than cumsum on tall blocks); overflow reads inf."""
     total = np.zeros(len(terms))
     with np.errstate(over="ignore"):
         for column in terms.T:
