@@ -50,8 +50,9 @@ from .simplify import _anchors
 
 NODE_GUARD = 1_000_000
 
-#: bounds a last-level chunk: its draws, first-draw table and fold (one node may exceed it alone)
-_FOLD_ELEMENTS = 12288
+#: bounds a last-level chunk: its draws, first-draw table and fold (one node may exceed it alone);
+#: the largest budget swept whose cluster-planted tracemalloc peak is within 0.5 MB of 12288's
+_FOLD_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -335,37 +335,39 @@ def _sweep(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float,
                 grids, at = reads.setdefault(m1 + m2 - 2, ([], []))
                 grids.append(g)
                 at.append(m1)
-            # diagonal k is row (k + 1) % 3 of S, cell (i, k - i) at S[., i + 1];
-            # row 0 starts as the inf diagonal -1.  Three rows suffice: a row
+            # for diagonal k, S0 and S1 hold diagonals k - 2 and k - 1 and S2
+            # takes k, cell (i, k - i) at row i + 1; S0 starts as the inf
+            # diagonal -1.  Three rows, rotated by reference, suffice: the row
             # reused for diagonal k keeps stale cells of diagonal k - 3 only
             # below k's range, which no later diagonal reads, and never-written
             # inf cells above it
-            S = np.full((3, C + 1, B), np.inf)
-            S[1, 1] = flat[0]
+            S0, S1, S2 = np.full((3, C + 1, B), np.inf)
+            S1[1] = flat[0]
             ends = np.empty(B)
             if 0 in reads:
                 grids, at = reads[0]
-                ends[grids] = S[1, at, grids]
+                ends[grids] = S1[at, grids]
             with np.errstate(over="ignore"):
                 for k in range(1, C + w):
-                    lo, hi = max(0, k - w), min(k, C - 1)
-                    r0, r1, r2 = (k - 1) % 3, k % 3, (k + 1) % 3
-                    cur = S[r2, lo + 1 : hi + 2]
+                    lo = k - w if k > w else 0
+                    hi = k if k < C - 1 else C - 1
+                    cur = S2[lo + 1 : hi + 2]
                     dist = flat[k + lo * w : k + hi * w + 1 : step]
-                    np.minimum(S[r0, lo : hi + 1], S[r1, lo : hi + 1], out=cur)
-                    np.minimum(cur, S[r1, lo + 1 : hi + 2], out=cur)
+                    np.minimum(S0[lo : hi + 1], S1[lo : hi + 1], out=cur)
+                    np.minimum(cur, S1[lo + 1 : hi + 2], out=cur)
                     np.add(cur, dist, out=cur)
                     if full:
                         dist[...] = cur
                     if k in reads:
                         grids, at = reads[k]
-                        ends[grids] = S[r2, at, grids]
+                        ends[grids] = S2[at, grids]
+                    S0, S1, S2 = S1, S2, S0
             if math.isinf(ends.max()):
                 raise path_overflow_error(p)
             yield rows, cols, ends.reshape(nc, nt), flat.reshape(C, M, B) if full else None
             # free this chunk's tables (cur and dist are views) before the
             # next chunk allocates its own
-            flat = S = cur = dist = None
+            flat = S0 = S1 = S2 = cur = dist = None
 
 
 def _pow_ends(cs: Sequence[PointSequence], taus: Sequence[PointSequence], p: float) -> np.ndarray:

@@ -439,6 +439,20 @@ class TestExitCodes:
         assert main(["gen", "--input", dataset_path, "--n", "100000"]) == 2
         assert "gen requires --output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes", [["--n", "200000000"], ["--n", "1000", "--resample", "1000000,1000000"]]
+    )
+    def test_gen_refuses_an_oversized_dataset_at_once(self, capsys, tmp_path, dataset_path,
+                                                      sizes):
+        out = tmp_path / "gen.json"
+        start = time.perf_counter()
+        assert main(["gen", "--input", dataset_path, "--output", str(out), *sizes]) == 3
+        assert time.perf_counter() - start < 2.0
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.startswith("capacity guard: ") and err.count("\n") == 1
+        assert "generated coordinates exceed the guard of 16000000 elements" in err
+        assert not out.exists()
+
     def test_an_overflowing_cand1_sample_size_names_beta(self, capsys, dataset_path):
         argv = ["cluster", "--input", dataset_path, "--k", "1", "--beta", "1e308", "--delta", "0.2"]
         assert main(argv) == 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -297,15 +298,23 @@ def test_an_overflowing_sample_size_is_raised_at_its_node(monkeypatch, seed):
         assert outcome(k_clustering, T, params, "cand1", seed, monkeypatch) == want
 
 
-@pytest.mark.parametrize("gen,k", [("cand1", 2), ("cand2", 2), ("cand2", 3)])
-def test_the_cluster_planted_shape_matches_the_reference(monkeypatch, gen, k):
-    # the benchmark's cluster-planted ops: two groups of three two-vertex sequences
+def planted(per_group: int) -> Dataset:
+    """Two groups, at 0 and 30, of `per_group` two-vertex sequences each; the
+    benchmark's cluster-planted ops have three per group."""
     rng = np.random.default_rng(4)
-    T = Dataset([
+    return Dataset([
         PointSequence(np.array([[base], [base + 1.0]]) + rng.uniform(-0.3, 0.3, size=(2, 1)))
         for base in (0.0, 30.0)
-        for _ in range(3)
+        for _ in range(per_group)
     ])
+
+
+PLANTED = ClusteringParams(k=2, beta=8.0, delta=0.2, p=1.0, ell=2, eps=1.0)
+
+
+@pytest.mark.parametrize("gen,k", [("cand1", 2), ("cand2", 2), ("cand2", 3)])
+def test_the_cluster_planted_shape_matches_the_reference(monkeypatch, gen, k):
+    T = planted(3)
     params = ClusteringParams(k=k, beta=4.0 * k, delta=0.2, ell=2, eps=1.0)
     chunks = []
     real = clustering._cand1
@@ -321,3 +330,28 @@ def test_the_cluster_planted_shape_matches_the_reference(monkeypatch, gen, k):
     assert chunks[0] == 1 and max(chunks) > 1
     if gen == "cand1":  # the one chains call below the root, in several chunks of many nodes
         assert len(chunks) > 2 and sum(chunks) > 10 * len(chunks)
+
+
+def test_the_last_level_folds_in_a_third_of_the_chunks_of_the_old_budget(monkeypatch):
+    # the chunk bound in counts, not clocks: 12288 was the budget before the sweep
+    calls = []
+    real = clustering._cand1
+    monkeypatch.setattr(clustering, "_cand1", lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for budget in (clustering._FOLD_ELEMENTS, 12288):
+        monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", budget)
+        calls.clear()
+        k_clustering(planted(3), PLANTED, "cand1", seed=17)
+        counts.append(len(calls))
+    assert 3 * counts[0] <= counts[1]
+
+
+def test_the_chunks_of_a_fourteen_sequence_search_stay_small():
+    # 1.276 MB measured at 1 << 16 (0.90 MB at 12288, 1.78 MB at 1 << 17), plus 25 %
+    tracemalloc.start()
+    try:
+        k_clustering(planted(7), PLANTED, "cand1", seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 1.276 * 2**20

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import dtwmean.synth as synth
 from dtwmean import (
+    CapacityError,
     Dataset,
     DomainError,
     PointSequence,
@@ -202,3 +204,17 @@ class TestSynthetic:
             generate_synthetic(seq(0, 1), 3, 0.1, (0, 2), seed=0)
         with pytest.raises(DomainError):
             generate_synthetic(seq(0, 1), 3, 0.1, (3, 2), seed=0)
+
+    @pytest.mark.parametrize("n,lengths", [(200_000_000, (3, 3)), (1000, (1_000_000, 1_000_000))])
+    def test_an_oversized_dataset_is_refused_before_drawing(self, monkeypatch, n, lengths):
+        monkeypatch.setattr(synth, "seeded_rng", lambda seed: pytest.fail("drew a sample"))
+        want = f"{n} x {lengths[1]} x 1 generated coordinates exceed the guard of 16000000 elements"
+        with pytest.raises(CapacityError, match=want):
+            generate_synthetic(seq(0, 1, 2), n, 0.1, lengths, seed=0)
+
+    def test_the_guard_counts_sequences_longest_length_and_dimension(self, monkeypatch):
+        monkeypatch.setattr(synth, "DISTANCE_GUARD", 24)
+        base = seq((0, 0), (1, 1), (2, 2))
+        assert generate_synthetic(base, 4, 0.1, (2, 3), seed=0).n == 4  # 4 x 3 x 2 = 24
+        with pytest.raises(CapacityError, match="5 x 3 x 2 generated coordinates"):
+            generate_synthetic(base, 5, 0.1, (2, 3), seed=0)
