@@ -460,17 +460,10 @@ def dtw_distances(c, T: Dataset, p: float) -> list[float]:
 
 
 def warping_count(m1: int, m2: int) -> int:
-    """Number of (m1, m2)-warpings (a Delannoy number)."""
+    """Number of (m1, m2)-warpings: the Delannoy number D(m1 - 1, m2 - 1),
+    summed over the k diagonal steps as C(m1 - 1, k) C(m2 - 1, k) 2^k."""
     require(m1 >= 1 and m2 >= 1, "sequence lengths must be >= 1")
-    if min(m1, m2) == 1:
-        return 1
-    row = [1] * m2
-    for _ in range(1, m1):
-        new = [1] * m2
-        for j in range(1, m2):
-            new[j] = new[j - 1] + row[j] + row[j - 1]
-        row = new
-    return row[m2 - 1]
+    return sum(math.comb(m1 - 1, k) * math.comb(m2 - 1, k) << k for k in range(min(m1, m2)))
 
 
 def enumerate_warpings(m1: int, m2: int) -> list[Warping]:

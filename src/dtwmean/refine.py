@@ -64,7 +64,6 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         math.isfinite(float(r) * float(r)),
         f"the grid cover radius {r!r} squared overflows float64; rescale the coordinates",
     )
-    d = ball_union.centers.shape[1]
     hits = []
     budget = CELL_GUARD
     for center in ball_union.centers:
@@ -78,17 +77,18 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         budget -= math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist()))
         if budget < 0:
             raise CapacityError(f"grid cover would visit more than {CELL_GUARD} cells")
-        axes = [np.arange(lo[j], hi[j] + 1) for j in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        corners = mesh * gamma
-        nearest = np.clip(center, corners, corners + gamma)
-        # a squared offset that overflows exceeds r * r, so its inf is
-        # correctly not a hit
+        # a cell's squared offset is the sum of its per-axis squared offsets,
+        # added by outer sums left to right (numpy's row-sum order below 8
+        # terms, which the recorded covers were built with); one that
+        # overflows exceeds r * r, so its inf is correctly not a hit
+        dsq, on_lower_faces = 0.0, True
         with np.errstate(over="ignore"):
-            dsq = ((center - nearest) ** 2).sum(axis=1)
-        on_lower_faces = (center < corners + gamma).all(axis=1)
+            for c, l, h in zip(center.tolist(), lo.tolist(), hi.tolist()):
+                g = np.arange(l, h + 1) * gamma
+                dsq = np.add.outer(dsq, (c - np.clip(c, g, g + gamma)) ** 2)
+                on_lower_faces = np.logical_and.outer(on_lower_faces, c < g + gamma)
         hit = (dsq < r * r) | ((dsq == r * r) & on_lower_faces)
-        hits.append(mesh[hit])
+        hits.append(np.argwhere(hit) + lo)
     return _sorted_unique_rows(np.concatenate(hits)) * gamma
 
 
@@ -175,24 +175,24 @@ def med_appr(
     for r in rungs:
         gamma = rung_cell_width(r, m, p, eps, d)
         require(gamma > 0, "grid cell width must be positive")
-        built: dict[int, np.ndarray | None] = {}
+        sizes: dict[int, int] = {}  # cover size per distinct draw, 0 if skipped
         for i in draws:
-            fresh = i not in built
-            if fresh:
+            cover = None
+            if i not in sizes:
                 union = BallUnion(centers=T.sequences[i].vertices, radius=4.0 * r)
                 small = _inscribed_cell_lower_bound(union, gamma) <= size_cap
-                built[i] = grid_cover(union, gamma) if small else None
-            cover = built[i]
-            if cover is None or len(cover) == 0 or len(cover) > size_cap:
+                cover = grid_cover(union, gamma) if small else ()
+                sizes[i] = len(cover)
+            if not 0 < sizes[i] <= size_cap:
                 continue
-            added = tuple_count(len(cover), ell, CANDIDATE_GUARD - total)
+            added = tuple_count(sizes[i], ell, CANDIDATE_GUARD - total)
             if total + added > CANDIDATE_GUARD:
                 raise CapacityError(
                     f"candidate budget {CANDIDATE_GUARD} exceeded at rung r={r!r}"
                 )
             total += added
             fallback = False
-            if fresh:
+            if cover is not None:
                 best = argmin_tuples(T, cover, ell, p, 1.0, best)
 
     best_cost, winner = best

@@ -202,7 +202,14 @@ def test_batched_search_matches_the_reference_from_eight_sequences(monkeypatch, 
     assert outcome(k_clustering, T, params, gen, 3, monkeypatch) == want
 
 
-@pytest.mark.parametrize("fold_elements", [24, clustering._FOLD_ELEMENTS])
+#: a budget that folds every few nodes, and the module's own under a fixed id,
+#: so that retuning `_FOLD_ELEMENTS` renames no test
+FOLD_BUDGETS = pytest.mark.parametrize(
+    "fold_elements", [24, clustering._FOLD_ELEMENTS], ids=["24", "budget"]
+)
+
+
+@FOLD_BUDGETS
 @pytest.mark.parametrize("gen,seed,N", [("cand1", 2, 155), ("cand2", 5, 81)])
 def test_every_node_guard_raises_the_reference_error_at_the_same_point(
     monkeypatch, fold_elements, gen, seed, N
@@ -220,7 +227,7 @@ def test_every_node_guard_raises_the_reference_error_at_the_same_point(
         assert outcome(k_clustering, T, params, gen, seed, monkeypatch) == want
 
 
-@pytest.mark.parametrize("fold_elements", [24, clustering._FOLD_ELEMENTS])
+@FOLD_BUDGETS
 def test_an_overflowing_row_is_raised_before_a_later_node_guard(monkeypatch, fold_elements):
     # at p = 2, -1e154 against 1e154 overflows; the root's sample (seed 11)
     # has neither, the first last-level node's has one of them
@@ -255,7 +262,7 @@ GUARD_CASES = [
 ] + [("SAMPLE_GUARD", "cand2", "formula", seed) for seed in (2, 5)]
 
 
-@pytest.mark.parametrize("fold_elements", [24, clustering._FOLD_ELEMENTS])
+@FOLD_BUDGETS
 @pytest.mark.parametrize("guard,gen,sizes,seed", GUARD_CASES)
 def test_every_sample_and_candidate_guard_raises_the_reference_error_at_the_same_point(
     monkeypatch, fold_elements, guard, gen, sizes, seed

@@ -155,9 +155,20 @@ class TestEnumerateWarpings:
         assert warping_count(6, 6) == len(enumerate_warpings(6, 6))
 
     def test_count_with_a_single_vertex_is_one(self):
-        # D(m, 1) = D(1, m) = 1, answered without building an m-long row
+        # D(m, 1) = D(1, m) = 1, from one term of the closed form
         assert warping_count(10**7, 1) == warping_count(1, 10**7) == 1
         assert all(warping_count(m, 1) == len(enumerate_warpings(m, 1)) for m in (1, 2, 5))
+
+    def test_count_matches_the_delannoy_table(self):
+        # reference: the table recurrence D(i, j) = D(i, j-1) + D(i-1, j) + D(i-1, j-1)
+        row = [1] * 40
+        for m1 in range(1, 41):
+            if m1 > 1:
+                new = [1] * 40
+                for j in range(1, 40):
+                    new[j] = new[j - 1] + row[j] + row[j - 1]
+                row = new
+            assert [warping_count(m1, m2) for m2 in range(1, 41)] == row
 
     def test_no_duplicates_and_valid(self):
         ws = enumerate_warpings(3, 4)

@@ -12,6 +12,10 @@ over the scaled dataset must visit the same nodes, score the same rows and
 return the scaled centers and cost.  `dtw` keeps its warping and `dba` its
 rounds, with every section mean scaled by exactly 2^e.  Coordinates on a
 quarter grid give duplicate vertices and exact ties.
+
+A second relation: the dataset followed by a copy of itself has the same
+vertex pool and longest sequence, so `mean_c` and `mean_c_d` score the same
+candidates and keep their winner.
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ from dtwmean import (
     dba,
     default_dba_init,
     dtw,
+    exact_mean,
     k_clustering,
+    mean_c,
+    mean_c_d,
+    med_appr,
+    simplify,
 )
 from dtwmean.core import _distances, _fold, _pow_ends, dtw_distances
 
@@ -44,6 +53,14 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def scaled(T: Dataset, s: float) -> Dataset:
+    return Dataset([PointSequence(v.vertices * s) for v in T.sequences])
+
+
+def exponents(rng) -> list[int]:
+    return [-40, 40, *rng.integers(-40, 41, size=3).tolist()]
+
+
 @pytest.mark.parametrize("gen", ["cand1", "cand2"])
 @pytest.mark.parametrize("p,q", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)])
 def test_scaling_by_a_power_of_two_scales_centers_and_cost(gen, p, q):
@@ -52,10 +69,9 @@ def test_scaling_by_a_power_of_two_scales_centers_and_cost(gen, p, q):
     for trial in range(8):
         T = quarter_grid(rng, n=int(rng.integers(3, 6)), d=int(rng.integers(1, 3)))
         base = k_clustering(T, params, gen, seed=trial)
-        for e in [-40, 40, *rng.integers(-40, 41, size=3).tolist()]:
+        for e in exponents(rng):
             s = 2.0**e
-            scaled = Dataset([PointSequence(v.vertices * s) for v in T.sequences])
-            got = k_clustering(scaled, params, gen, seed=trial)
+            got = k_clustering(scaled(T, s), params, gen, seed=trial)
             assert (got.nodes, got.rows_scored) == (base.nodes, base.rows_scored)
             assert bits(got.cost) == bits(base.cost * 2.0 ** (e * q))
             assert [bits(c.vertices) for c in got.centers] == [
@@ -84,21 +100,104 @@ def test_scaling_by_a_power_of_two_scales_every_sweep_result(p, q):
         pair = dtw(c, tau, p)
         init = default_dba_init(T, 2, p)
         mean = dba(T, init, p)
-        for e in [-40, 40, *rng.integers(-40, 41, size=3).tolist()]:
+        for e in exponents(rng):
             s = 2.0**e
-            scaled = Dataset([PointSequence(v.vertices * s) for v in T.sequences])
-            sc, stau = scaled.sequences[:2]
+            S = scaled(T, s)
+            sc, stau = S.sequences[:2]
             roots = scaled_roots(c, T, p, s**p)
             got = dtw(sc, stau, p)
             assert got.distance == roots[1] and got.warping == pair.warping
-            assert dtw_distances(sc, scaled, p) == roots
-            assert cost(scaled, sc, p, q) == _fold(roots, q)
-            got_init = default_dba_init(scaled, 2, p)
+            assert dtw_distances(sc, S, p) == roots
+            assert cost(S, sc, p, q) == _fold(roots, q)
+            got_init = default_dba_init(S, 2, p)
             assert hexes(got_init) == hexes(PointSequence(init.vertices * s))
-            got_mean = dba(scaled, got_init, p)
+            got_mean = dba(S, got_init, p)
             assert hexes(got_mean.sequence) == hexes(PointSequence(mean.sequence.vertices * s))
             assert len(got_mean.trace) == len(mean.trace)
             assert got_mean.cost == _fold(scaled_roots(mean.sequence, T, p, s**p), p)
             if p == 1:
                 assert (got.distance, got_mean.cost) == (pair.distance * s, mean.cost * s)
                 assert got_mean.trace == [x * s for x in mean.trace]
+
+
+def assert_scaled(got, base, T: Dataset, p: float, q: float, e: int) -> None:
+    """`got`, a result on T scaled by 2^e, holds `base`'s winner times 2^e and
+    the program's cost of it on the scaled data."""
+    s = 2.0**e
+    assert hexes(got.sequence) == hexes(PointSequence(base.sequence.vertices * s))
+    assert got.cost == _fold(scaled_roots(base.sequence, T, p, s**p), q)
+    if p == 1:
+        assert got.cost == base.cost * s**q
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.filterwarnings("ignore:eps=4.0 exceeds")
+def test_scaling_by_a_power_of_two_scales_every_mean_and_simplification(p):
+    # med_appr's cell width is eps * r over a constant, and r halves down from
+    # the cheapest sampled simplification's cost, so its grid scales with the
+    # data; at d = 2 it keeps to ell = 1, whose covers stay small
+    rng = np.random.default_rng([int(p), 3])
+    for trial in range(4):
+        d = int(rng.integers(1, 3))
+        T = quarter_grid(rng, n=int(rng.integers(3, 6)), d=d)
+        means = [
+            lambda X: mean_c(X, 0.3, 4.0, p, 2, trial),
+            lambda X: mean_c_d(X, 4.0, p, 2),
+        ]
+        base = [run(T) for run in means]
+        base_med = med_appr(T, 4.0, p, 0.5, 3 - d, trial)
+        simps = [simplify(tau, 2, p) for tau in T.sequences]
+        for e in exponents(rng):
+            s = 2.0**e
+            S = scaled(T, s)
+            for run, want in zip(means, base):
+                got = run(S)
+                assert_scaled(got, want, T, p, p, e)
+                assert got.candidates_scored == want.candidates_scored
+            got = med_appr(S, 4.0, p, 0.5, 3 - d, trial)
+            assert_scaled(got, base_med, T, p, 1.0, e)
+            assert (got.candidates_scored, got.flags) == (base_med.candidates_scored, base_med.flags)
+            for tau, stau, want in zip(T.sequences, S.sequences, simps):
+                got = simplify(stau, 2, p)
+                assert hexes(got.sequence) == hexes(PointSequence(want.sequence.vertices * s))
+                one = Dataset([tau])
+                assert got.discrete_cost == scaled_roots(want.sequence, one, p, s**p)[0]
+
+
+@pytest.mark.parametrize(
+    "mode,p,q",
+    [("euclidean-2-2", 2.0, 2.0), ("line-1-1", 1.0, 1.0)]
+    + [("discrete", p, q) for p in (1.0, 2.0) for q in (1.0, 2.0)],
+)
+def test_scaling_by_a_power_of_two_scales_every_exact_mean(mode, p, q):
+    # a section's centroid or median, and its cost, scale exactly; so does
+    # the discrete oracle's search, as `mean_c`'s does
+    rng = np.random.default_rng([int(p), int(q), len(mode)])
+    pq = (p, q) if mode == "discrete" else ()
+    for _ in range(4):
+        T = quarter_grid(rng, n=3, d=1 if mode == "line-1-1" else int(rng.integers(1, 3)))
+        base = exact_mean(T, 2, mode, *pq)
+        for e in exponents(rng):
+            s = 2.0**e
+            got = exact_mean(scaled(T, s), 2, mode, *pq)
+            assert hexes(got.mean) == hexes(PointSequence(base.mean.vertices * s))
+            assert got.warping_tuple == base.warping_tuple
+            if mode == "discrete":
+                assert got.cost == _fold(scaled_roots(base.mean, T, p, s**p), q)
+            else:
+                assert got.cost == base.cost * s**q
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_duplicating_the_dataset_keeps_the_winner_and_the_count(p):
+    # T followed by T has T's vertex pool and longest sequence, so both
+    # searches score the same candidates; only their costs are summed twice
+    rng = np.random.default_rng([int(p), 4])
+    for trial in range(8):
+        T = quarter_grid(rng, n=int(rng.integers(2, 6)), d=int(rng.integers(1, 3)))
+        twice = Dataset(T.sequences + T.sequences)
+        for run in (lambda X: mean_c(X, 0.3, 4.0, p, 2, trial), lambda X: mean_c_d(X, 4.0, p, 2)):
+            base, got = run(T), run(twice)
+            assert hexes(got.sequence) == hexes(base.sequence)
+            assert got.candidates_scored == base.candidates_scored
+            assert got.cost == cost(twice, got.sequence, p, p)
