@@ -27,10 +27,10 @@ from .core import (
     PointSequence,
     Warping,
     _fold_rows,
+    _kept_sweep,
     _pow_ends,
     _q_powers,
     enumerate_warpings,
-    optimal_sections,
     q_overflow_error,
     warping_count,
 )
@@ -142,16 +142,12 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
 
         def recurse(i: int) -> None:
             nonlocal best_cost, best_vertices, best_tuple
-            partial = sum(section_min(g)[1] for g in sections if g)
+            mins = [section_min(g) for g in sections if g]
+            partial = sum(c for _, c in mins)
             if partial + tail_min[i] >= best_cost:
                 return
-            if i == n:
-                mins = [section_min(g) for g in sections]
-                total = sum(c for _, c in mins)
-                if total < best_cost:
-                    best_cost = total
-                    best_vertices = [v for v, _ in mins]
-                    best_tuple = list(chosen)
+            if i == n:  # every section has members, and partial is the total
+                best_cost, best_vertices, best_tuple = partial, [v for v, _ in mins], list(chosen)
                 return
             for w, groups in per_seq[i]:
                 for j in range(ellp):
@@ -175,7 +171,7 @@ def _exact_mean_continuous(T: Dataset, ell: int, mode: str) -> OracleResult:
 
 def _exact_mean_discrete(T: Dataset, ell: int, p: float, q: float) -> OracleResult:
     res = _cheapest_tuple(T, T.vertex_pool(), ell, p, q, TUPLE_GUARD)
-    _, warpings = optimal_sections(res.sequence, T, p)
+    warpings = _kept_sweep(res.sequence, T.sequences, p)[1]
     return OracleResult(res.sequence, res.cost, warpings, mode="discrete")
 
 

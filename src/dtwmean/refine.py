@@ -10,9 +10,9 @@ close to the optimum contains, vertex by vertex, a snapped copy of the
 optimal mean, so enumerating all short sequences of grid points and keeping
 the cheapest yields the guarantee.
 
-Sequences are sampled with replacement, so the same cover recurs.  A rung
-builds and scores each distinct sampled sequence's cover once, as soon as it
-is built; a repeated draw is counted in `candidates_scored` and against
+Sequences are sampled with replacement, so the same draw recurs.  The
+estimate and each rung simplify or cover each distinct draw once, scoring it
+as built; a repeated draw is counted in `candidates_scored` and against
 `CANDIDATE_GUARD` but not scored again.  An equal cover of another draw or
 rung is scored again; it can only tie, and ties keep the first candidate.
 """
@@ -53,9 +53,9 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
 
     Cells are the half-open boxes [g, g + gamma)^d; a cell is kept when it
     contains a point of some ball.  Points are returned sorted by lattice
-    index, deduplicated across balls.  Raises CapacityError when the balls'
-    bounding boxes hold more than CELL_GUARD cells in all, and DomainError
-    when a lattice index does not fit int64.
+    index, deduplicated, each distinct ball tested once.  Raises CapacityError
+    when the balls' bounding boxes, all counted, hold more than CELL_GUARD
+    cells, and DomainError when a lattice index does not fit int64.
     """
     require(gamma > 0, "grid cell width must be positive")
     r = ball_union.radius
@@ -64,7 +64,7 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         math.isfinite(float(r) * float(r)),
         f"the grid cover radius {r!r} squared overflows float64; rescale the coordinates",
     )
-    hits = []
+    hits, tested = [], set()
     budget = CELL_GUARD
     for center in ball_union.centers:
         lo, hi = np.floor(np.stack([center - r, center + r]) / gamma)
@@ -77,28 +77,28 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         budget -= math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist()))
         if budget < 0:
             raise CapacityError(f"grid cover would visit more than {CELL_GUARD} cells")
+        if (key := tuple(center.tolist())) in tested:
+            continue  # an equal ball, whose cells are already hits
+        tested.add(key)
         # a cell's squared offset is the sum of its per-axis squared offsets,
         # added by outer sums left to right (numpy's row-sum order below 8
         # terms, which the recorded covers were built with); one that
         # overflows exceeds r * r, so its inf is correctly not a hit
         dsq, on_lower_faces = 0.0, True
         with np.errstate(over="ignore"):
-            for c, l, h in zip(center.tolist(), lo.tolist(), hi.tolist()):
+            for c, l, h in zip(key, lo.tolist(), hi.tolist()):
                 g = np.arange(l, h + 1) * gamma
                 dsq = np.add.outer(dsq, (c - np.clip(c, g, g + gamma)) ** 2)
                 on_lower_faces = np.logical_and.outer(on_lower_faces, c < g + gamma)
-        hit = (dsq < r * r) | ((dsq == r * r) & on_lower_faces)
-        hits.append(np.argwhere(hit) + lo)
-    return _sorted_unique_rows(np.concatenate(hits)) * gamma
-
-
-def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an int array in lexicographic order, as
-    ``np.unique(rows, axis=0)`` returns them, from one lexsort."""
+        hits.append(np.argwhere((dsq < r * r) | ((dsq == r * r) & on_lower_faces)) + lo)
+    # the union's distinct rows in lexicographic order, as np.unique(axis=0)
+    # gives them; each step drops the rows it replaces, so at most two copies
+    # of the hits are held at once
+    rows = np.concatenate(hits)
+    hits = dsq = on_lower_faces = None
     rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return rows * gamma
 
 
 def _inscribed_cell_lower_bound(ball_union: BallUnion, gamma: float) -> int:
@@ -156,10 +156,11 @@ def med_appr(
 
     rng = seeded_rng(seed)
     draws = rng.integers(0, n, size=estimate_sample_count(delta)).tolist()
-    simps = sorted((simplify(T.sequences[i], ell, p).sequence for i in draws), key=len)
+    distinct = dict.fromkeys(draws)  # each drawn sequence once, in draw order
+    simps = sorted((simplify(T.sequences[i], ell, p).sequence for i in distinct), key=len)
     costs = [_fold(_distances(ends, p), 1.0) for ends in _pow_ends(simps, T.sequences, p)]
     R = min(costs)
-    winner, total = simps[costs.index(R)].vertices, len(simps)
+    winner, total = simps[costs.index(R)].vertices, len(draws)
     if R == 0.0:
         # a sampled simplification already has zero cost, hence is optimal
         return MeanResult(

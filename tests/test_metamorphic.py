@@ -13,12 +13,16 @@ return the scaled centers and cost.  `dtw` keeps its warping and `dba` its
 rounds, with every section mean scaled by exactly 2^e.  Coordinates on a
 quarter grid give duplicate vertices and exact ties.
 
+The `bench` battery's rows keep their ratio, flags and candidate counts.
+
 A second relation: the dataset followed by a copy of itself has the same
 vertex pool and longest sequence, so `mean_c` and `mean_c_d` score the same
 candidates and keep their winner.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -36,8 +40,11 @@ from dtwmean import (
     mean_c,
     mean_c_d,
     med_appr,
+    save_dataset,
     simplify,
 )
+from dtwmean.bench import _oracle_optimum
+from dtwmean.cli import main
 from dtwmean.core import _distances, _fold, _pow_ends, dtw_distances
 
 
@@ -201,3 +208,42 @@ def test_duplicating_the_dataset_keeps_the_winner_and_the_count(p):
             assert hexes(got.sequence) == hexes(base.sequence)
             assert got.candidates_scored == base.candidates_scored
             assert got.cost == cost(twice, got.sequence, p, p)
+
+
+def run_bench(tmp_path, T: Dataset, flags: list[str]) -> list[dict]:
+    """The rows of `dtwmean bench` on T, read back from its JSON report."""
+    save_dataset(T, tmp_path / "data.json")
+    out = tmp_path / "report.json"
+    assert main(["bench", "--input", str(tmp_path / "data.json"), *flags, "--output", str(out)]) == 0
+    return json.loads(out.read_text())["runs"]
+
+
+@pytest.mark.parametrize("p,q", [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)])
+@pytest.mark.filterwarnings("ignore:eps=4.0 exceeds")
+def test_scaling_by_a_power_of_two_scales_every_bench_row(tmp_path, p, q):
+    # the `bench` battery: every row keeps its ratio, flags and candidates,
+    # and scales its sequence by 2^e and its cost by 2^(e * objective q); dba
+    # at p = 2 reports the program's roots of its scaled end cells, and its
+    # ratio is that cost over the scaled optimum
+    rng = np.random.default_rng([int(p), int(q), 5])
+    for trial in range(4):
+        d = int(rng.integers(1, 3))
+        T = quarter_grid(rng, n=int(rng.integers(3, 6)), d=d)
+        flags = ["--p", str(p), "--q", str(q), "--ell", str(3 - d), "--eps", "4.0",
+                 "--delta", "0.5", "--seed", str(trial)]
+        base = run_bench(tmp_path, T, flags)
+        opt = _oracle_optimum(T, p, p, 3 - d)["cost"]  # of dba's objective
+        for e in exponents(rng):
+            s = 2.0**e
+            for want, got in zip(base, run_bench(tmp_path, scaled(T, s), flags), strict=True):
+                mean = PointSequence(want["result"]["sequence"])
+                got_mean = PointSequence(got["result"]["sequence"])
+                assert hexes(got_mean) == hexes(PointSequence(mean.vertices * s))
+                assert (got["flags"], got["candidates"]) == (want["flags"], want["candidates"])
+                if want["algo"] == "dba" and p == 2:
+                    cost = _fold(scaled_roots(mean, T, p, s**p), p)
+                    assert (got["result"]["cost"], got["ratio"]) == (cost, cost / (opt * s**p))
+                else:
+                    scale = s ** want["objective"]["q"]
+                    assert got["result"]["cost"] == want["result"]["cost"] * scale
+                    assert got["ratio"] == want["ratio"]

@@ -11,6 +11,7 @@ from dtwmean import (
     dtw,
     exact_clustering,
     exact_mean,
+    optimal_sections,
 )
 
 from conftest import random_dataset, random_sequence, seq
@@ -62,6 +63,12 @@ class TestExactMean:
                 for j, k in w.pairs
             )
         assert total == pytest.approx(r.cost, rel=1e-9)
+
+    def test_discrete_warpings_are_the_optimal_sections_warpings(self, rng):
+        for p, q in [(1.0, 1.0), (2.0, 1.0), (1.5, 2.0)]:
+            T = random_dataset(rng, n=3, max_len=3)
+            r = exact_mean(T, 2, "discrete", p, q)
+            assert r.warping_tuple == optimal_sections(r.mean, T, p)[1]
 
     def test_global_optimality_spot_check(self, rng):
         T = random_dataset(rng, n=3, max_len=3)

@@ -24,9 +24,10 @@ from conftest import random_dataset, seq
 
 def mesh_grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
     """Reference cover: every cell of each ball's bounding box as one row of a
-    cells x d mesh, tested by its nearest point to the center.  Its row sums
-    add left to right for d < 8, as `grid_cover`'s outer sums do; from d = 8
-    numpy sums pairwise, so a squared offset may differ in its last bit."""
+    cells x d mesh, tested by its nearest point to the center, and the union
+    taken by `np.unique(axis=0)`.  Its row sums add left to right for d < 8,
+    as `grid_cover`'s outer sums do; from d = 8 numpy sums pairwise, so a
+    squared offset may differ in its last bit."""
     r = ball_union.radius
     d = ball_union.centers.shape[1]
     hits = []
@@ -40,10 +41,12 @@ def mesh_grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
             dsq = ((center - nearest) ** 2).sum(axis=1)
         on_lower_faces = (center < corners + gamma).all(axis=1)
         hits.append(mesh[(dsq < r * r) | ((dsq == r * r) & on_lower_faces)])
-    return refine._sorted_unique_rows(np.concatenate(hits)) * gamma
+    return np.unique(np.concatenate(hits), axis=0) * gamma
 
 
 class TestGridCover:
+    A, B = [0.3, -0.2, 0.1], [0.8, 0.2, -0.3]  # unit balls that overlap
+
     def test_interval_example(self):
         # ball [-2, 2] with unit cells: every cell [g, g+1) meeting the ball,
         # including [2, 3) which touches it at the single point 2
@@ -93,7 +96,8 @@ class TestGridCover:
                 gamma = r * float(rng.uniform(0.15 if d <= 3 else 0.6, 1.0))
                 union = BallUnion(centers=centers, radius=r)
                 got, want = grid_cover(union, gamma), mesh_grid_cover(union, gamma)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
             for _ in range(10):
                 centers = rng.integers(-8, 9, size=(int(rng.integers(1, 4)), d)) / 4.0
                 gamma = float(rng.choice([0.25, 0.5]))
@@ -102,18 +106,58 @@ class TestGridCover:
                 got, want = grid_cover(union, gamma), mesh_grid_cover(union, gamma)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_a_ball_holds_cells_sized_arrays_not_cells_x_d(self):
-        # 54164 points in a 46 x 47 x 47-cell box; measured peaks: 5.41 MB,
-        # and 12.7 MB for the mesh reference
-        union = BallUnion(centers=np.array([[0.3, -0.2, 0.1]]), radius=1.0)
+    @staticmethod
+    def traced_cover(centers: list, gamma: float = 0.044) -> tuple[np.ndarray, int]:
+        """The cover of unit balls at `centers`, and its tracemalloc peak."""
+        union = BallUnion(centers=np.array(centers), radius=1.0)
         tracemalloc.start()
         try:
-            cover = grid_cover(union, 0.044)
+            cover = grid_cover(union, gamma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return cover, peak
+
+    def test_a_ball_holds_cells_sized_arrays_not_cells_x_d(self):
+        # 54164 points in a 46 x 47 x 47-cell box; measured peaks: 3.62 MB,
+        # 5.41 MB while the union was sorted beside the per-ball hits, and
+        # 12.7 MB for the mesh reference
+        cover, peak = self.traced_cover([[0.3, -0.2, 0.1]])
         assert len(cover) == 54164
-        assert peak < 1.25 * 5_410_169
+        assert peak < 1.25 * 3_619_976
+
+    def test_a_repeated_ball_is_tested_once_and_the_union_held_twice(self):
+        # [A, B, A]: two overlapping balls of 54164 points each, 82592 in
+        # all; measured peaks: 6.10 MB, as for [A, B], against 14.0 MB when
+        # every center was tested and the union held three copies of the hits
+        cover, peak = self.traced_cover([self.A, self.B, self.A])
+        assert len(cover) == 82592
+        assert peak < 1.25 * 6_098_460
+
+    def test_repeated_centers_give_the_cover_of_the_distinct_ones(self, rng):
+        # overlapping balls share cells, which the union keeps once each, in
+        # np.unique's lexicographic order
+        cases = [(np.array([self.A, self.B]), 1.0, 0.2)]
+        cases += [(rng.integers(-8, 9, size=(2, 2)) / 4.0, 0.75, 0.25) for _ in range(5)]
+        for (A, B), r, gamma in cases:
+            want = grid_cover(BallUnion(centers=np.array([A, B]), radius=r), gamma)
+            ref = mesh_grid_cover(BallUnion(centers=np.array([A, B]), radius=r), gamma)
+            assert want.dtype == ref.dtype and want.shape == ref.shape
+            assert want.tobytes() == ref.tobytes()
+            for repeated in ([A, B, A], [B, A, A, B]):
+                got = grid_cover(BallUnion(centers=np.array(repeated), radius=r), gamma)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_the_cell_guard_counts_every_center(self, monkeypatch):
+        # one ball's box holds 46 x 47 x 47 = 101614 cells; a repeated center
+        # is not tested again, but its box still counts against the guard
+        monkeypatch.setattr(refine, "CELL_GUARD", 101614)
+        assert len(grid_cover(BallUnion(centers=np.array([self.A]), radius=1.0), 0.044)) == 54164
+        with pytest.raises(CapacityError, match="more than 101614 cells"):
+            grid_cover(BallUnion(centers=np.array([self.A, self.A]), radius=1.0), 0.044)
+        monkeypatch.setattr(refine, "CELL_GUARD", 2 * 101614)
+        cover = grid_cover(BallUnion(centers=np.array([self.A, self.A]), radius=1.0), 0.044)
+        assert len(cover) == 54164
 
     def test_overflowing_offset_is_no_hit(self):
         # r * r fits float64, but the squared offset of cell [r, 2r)^2,
@@ -141,16 +185,6 @@ class TestGridCover:
         # 2^22 cells per axis: the 2^66 cells of the box must not wrap to 0
         with pytest.raises(CapacityError, match="more than"):
             grid_cover(BallUnion(centers=np.zeros((1, 3)), radius=1.0), 1 / 2097151.5)
-
-    def test_sorted_unique_rows_match_np_unique(self, rng):
-        for _ in range(300):
-            d, k = int(rng.integers(1, 4)), int(rng.integers(0, 60))
-            rows = rng.integers(-4, 4, size=(k, d))
-            rows = np.concatenate([rows, rows[: int(rng.integers(0, k + 1))]])
-            want = np.unique(rows, axis=0)
-            got = refine._sorted_unique_rows(rows)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DomainError):
@@ -322,6 +356,21 @@ class TestRepeatedCovers:
         assert res.candidates_scored == 303604
         assert res.cost.hex() == "0x1.199999999999bp+0"
         assert res.flags == []
+
+    def test_one_estimate_simplification_per_distinct_draw(self, monkeypatch):
+        simplified = []
+        real_simplify = refine.simplify
+
+        def counting_simplify(pi, ell, p):
+            simplified.append(pi.vertices.tobytes())
+            return real_simplify(pi, ell, p)
+
+        monkeypatch.setattr(refine, "simplify", counting_simplify)
+        res = refine.med_appr(self.T, *self.ARGS)
+        assert simplified == [self.T.sequences[i].vertices.tobytes() for i in (3, 0)]
+        # the 4 draws still count, and the result is the recorded one
+        assert res.candidates_scored == 303604
+        assert res.cost.hex() == "0x1.199999999999bp+0"
 
     def test_repeated_covers_count_against_the_guard(self, monkeypatch):
         # 181536 is the 4 simplifications plus every distinct cover's tuples

@@ -12,6 +12,7 @@ ARGS = {
     # every workload's argv shapes, at tiny size: 16 ops
     "check_reference.py": ["--size", "tiny", "--variant", "0"],
     "compare_algorithms.py": ["--n", "4"],
+    "memory_probe.py": ["--", "dtw", "--input", "probe.json"],
     "planted_clustering.py": ["--trials", "2"],
     "success_rates.py": ["--trials", "2"],
 }
