@@ -107,12 +107,13 @@ class TestGridCover:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @staticmethod
-    def traced_cover(centers: list, gamma: float = 0.044) -> tuple[np.ndarray, int]:
-        """The cover of unit balls at `centers`, and its tracemalloc peak."""
+    def traced_cover(centers: list) -> tuple[np.ndarray, int]:
+        """The cover of unit balls at `centers` by 0.044-wide cells, and its
+        tracemalloc peak."""
         union = BallUnion(centers=np.array(centers), radius=1.0)
         tracemalloc.start()
         try:
-            cover = grid_cover(union, gamma)
+            cover = grid_cover(union, 0.044)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
