@@ -42,18 +42,23 @@ def score_candidates(T: Dataset, cands: np.ndarray, p: float, q: float) -> np.nd
     each entry equal to scalar ``dtw(c, tau, p).distance ** q`` bit for bit."""
     K, L, d = cands.shape
     out = np.empty((K, T.n))
-    step = max(1, _BLOCK_ELEMENTS // (L * T.m * d))
+    per = max(1, _BLOCK_ELEMENTS // (L * d * T.m))  # sequences stacked in one table
+    groups = [T.sequences[g : g + per] for g in range(0, T.n, per)]
+    stacks = [np.concatenate([tau.vertices for tau in group]) for group in groups]
+    step = max(1, _BLOCK_ELEMENTS // (L * d * max(map(len, stacks))))
     # a path sum may overflow although every table entry fits
     with np.errstate(over="ignore"):
         for s in range(0, K, step):
-            flat = cands[s : s + step].reshape(-1, d)
-            for j, tau in enumerate(T.sequences):
-                # D[k, c, i] = |cands[s + c, i] - tau[k]|^p
-                D = pow_dist_matrix(tau.vertices, flat, p).reshape(len(tau), -1, L)
-                rows = np.cumsum(D[:, :, 0], axis=0)
-                for i in range(1, L):
-                    rows = _extend(rows, D[:, :, i, None], i + 1 < L)
-                out[s : s + step, j] = rows[-1]
+            flat, j = cands[s : s + step].reshape(-1, d), 0
+            for group, V in zip(groups, stacks):
+                table, lo = pow_dist_matrix(V, flat, p).reshape(len(V), -1, L), 0
+                for tau in group:
+                    # D[k, c, i] = |cands[s + c, i] - tau[k]|^p
+                    D, lo = table[lo : lo + len(tau)], lo + len(tau)
+                    rows = np.cumsum(D[:, :, 0], axis=0)
+                    for i in range(1, L):
+                        rows = _extend(rows, D[:, :, i, None], i + 1 < L)
+                    out[s : s + step, j], j = rows[-1], j + 1
     if math.isinf(out.max(initial=0.0)):
         raise path_overflow_error(p)
     for j in range(T.n):

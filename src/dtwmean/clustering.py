@@ -19,9 +19,10 @@ runs on a point table: the dataset's vertex pool (`Dataset.point_table`)
 with every input sequence held as an array of pool ids.  A candidate is a
 tuple of pool ids whose row of dtw_p(c, tau)^q over the dataset is scored
 once through `_batch.score_candidates`.  Both generators draw through
-`_cand1`.  The nodes one center short of k draw in chunks of consecutive
-nodes, one `rng.integers` call each, and each chunk is folded in numpy once,
-so that no per-node Python touches cand1's candidates.  Only the centers
+`_cand1`.  The search is walked a chunk of nodes at a time, the nodes one
+center short of k in chunks of many: one `rng.integers` call draws a chunk,
+and its guards, node counts and best leaf come from array sums, so that no
+per-node Python touches a cand1 sample or candidate.  Only the centers
 returned become `PointSequence`s.
 """
 
@@ -117,17 +118,17 @@ def _cand1(nodes: list[tuple[np.ndarray, int]], rng) -> np.ndarray:
     by length, then lexicographic, are its candidates, and cand2 from the
     sequence ids in play, whose simplifications are.  The one `rng.integers`
     call draws what a call per node would."""
-    sizes = [size for _, size in nodes]
-    lens = np.array([len(ids) for ids, _ in nodes])
+    ids, sizes = zip(*nodes)
+    lens = np.fromiter(map(len, ids), np.intp, len(ids))
     w, at = lens.max(), rng.integers(0, np.repeat(lens, sizes))
     at += np.repeat(np.arange(0, len(nodes) * w, w), sizes)  # at[d]: the cell draw d hits
     # first[j * w + i]: the first draw of node j's position i, or len(at) if none
     first = np.full(len(nodes) * w, len(at))
-    np.minimum.at(first, at, pos := np.arange(len(at)))
-    node, i = np.divmod(at[first[at] == pos], w)  # draws first in their cell, in draw order
+    np.minimum.at(first, at, np.arange(len(at)))
+    node, i = np.divmod(at[np.sort(first[first < len(at)])], w)  # first draws, in draw order
     rank = np.arange(len(node)) - node.searchsorted(node)
     out = np.full((len(nodes), rank.max() + 1), -1)
-    out[node, rank] = np.concatenate([ids for ids, _ in nodes])[(np.cumsum(lens) - lens)[node] + i]
+    out[node, rank] = np.concatenate(ids)[(np.cumsum(lens) - lens)[node] + i]
     return out
 
 
@@ -170,31 +171,29 @@ def k_clustering(
     total adds its terms in sequence order (`core._fold_rows`), so the cost is
     `clustering_cost` of the returned centers bit for bit.
 
-    Per node the search draws and counts against `NODE_GUARD` (once, and
-    once per leaf child).  Nodes with fewer than k - 1 centers then score
-    their candidates and recurse.  Below a node with k - 2 centers (the root
-    if k = 1), each child and its discard descendants form a chain that keeps
-    the child's dmin, so all chains' active sets come up front, one stable
-    argsort per depth.  The chains are walked in depth-first order, both
-    generators drawing a chunk of consecutive nodes at once, as many as its
-    draws, first-draw table and fold keep within `_FOLD_ELEMENTS`, and each
-    chunk folded once, at its last node: its candidate rows are resolved at
-    once, the new ones scored node by node, shortest first, and its nodes
-    recorded in walk order by their first cheapest candidate.  Each node's
-    errors come when the walk reaches it; cand2 simplifies its draws there.  If
-    the walk raises, the nodes walked so far are scored first, so an overflow
-    `DomainError` still precedes any later node's error, and if every leaf's
-    total overflows, the search raises as `clustering_cost` does.  `nodes`
-    and `rows_scored` count the search nodes and the distinct rows scored.
+    Below a node with k - 2 centers (the root if k = 1), each child and its
+    discard descendants form a chain that keeps the child's dmin, so all
+    chains' active sets come up front, one stable argsort per depth, each
+    mapped once to its pool.  The chains are walked depth first a chunk at a
+    time, drawn by one `_cand1` call: up to the next node that draws and, at
+    the last level (k - 1 centers), on while the chunk's draws, first-draw
+    table and fold fit `_FOLD_ELEMENTS`.  A chunk's node counts (one per node,
+    one more per last-level candidate), guards and best leaf (the first
+    cheapest in walk order) come from array sums and argmins, and the nodes
+    walked before one that raises are folded first, so an overflow
+    `DomainError` precedes any later node's error.  A node above the last
+    level scores its candidates and recurses.  If every leaf's total
+    overflows, the search raises as `clustering_cost` does.  `nodes` and
+    `rows_scored` count the search nodes and the distinct rows scored.
     """
     require(generator in ("cand1", "cand2"), f"unknown generator {generator!r}")
     k, beta, p, q, ell, eps = params.k, params.beta, params.p, params.q, params.ell, params.eps
     rng = seeded_rng(seed)
     delta_node = params.delta / (k + 1)
     table = _PointTable(T, p, ell)
-    seq_ids, P = table.seq_ids, len(table.points)
+    seq_ids, P, n = table.seq_ids, len(table.points), T.n
 
-    keys, rows = [], np.empty((0, T.n))  # row r of `rows` scores candidate keys[r]
+    keys, rows = [], np.empty((n, 0))  # column r of `rows` scores candidate keys[r]
     # cand1: length -> sorted codes and their rows, topped by a sentinel code,
     # a tuple's code being its prefix's row * P + its last id; cand2: tuple -> row
     index, top = {}, (np.array([np.iinfo(np.intp).max]), np.array([-1]))
@@ -236,128 +235,149 @@ def k_clustering(
                 keys.extend(group)
         return np.array([index[c] for found in founds for c in found], dtype=np.intp)
 
-    def resolve(draws: list) -> np.ndarray:
-        """Rows of consecutive nodes' candidates; new ones scored node by node."""
+    def resolve(draws) -> np.ndarray:
+        """Rows of consecutive nodes' candidates (cand1: their `_cand1` rows;
+        cand2: their simplifications' dicts); new ones scored node by node."""
         nonlocal rows
         jobs: list = []
-        draws = np.array(draws) if generator == "cand1" else draws  # cand1: one row per node
         rid = (resolve_tuples if generator == "cand1" else resolve_found)(draws, jobs)
-        if len(keys) > len(rows):
-            rows = np.concatenate([rows, np.empty((len(keys) - len(rows), T.n))])
+        if len(keys) > rows.shape[1]:
+            rows = np.concatenate([rows, np.empty((n, len(keys) - rows.shape[1]))], 1)
         for _, _, got in sorted(jobs, key=lambda job: job[:2]):
-            rows[got] = score_candidates(T, table.points[np.array([keys[r] for r in got])], p, q)
+            cands = table.points[np.array([keys[r] for r in got])]
+            rows[:, got] = score_candidates(T, cands, p, q).T
         return rid
 
-    pools: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}  # active -> (ids drawn, m)
-    sizes: dict[int, int] = {}  # cand1's largest complexity m (cand2: 0) -> draws
+    pool_of: dict[tuple[int, ...], int] = {}  # active set -> its index in `pools`
+    # per pool: (ids to draw from, draws or the error drawing raises) and a row
+    # of `stats` (its id count, a node's draws plus fold, most candidates x
+    # sequences, capped, and whether drawing raises); pool 0 has no ids
+    pools, stats = [(np.empty(0, np.intp), 0)], np.zeros((64, 3), np.int64)
 
-    def sample(walk: list, i: int, last: bool) -> dict:
-        """Samples of walk node i and, at the last level, of the nodes after it
-        while their draws, their fold (most candidates x sequences each) and
-        nodes x widest ids fit in `_FOLD_ELEMENTS`: walk index -> (ids row,
-        count).  A later node whose size raises ends the chunk before it."""
-        js, chunk, total, width = [], [], 0, 0
-        for j in range(i, len(walk) if last else i + 1):
-            if not (a := walk[j][1]):
-                continue
-            if a not in pools and generator == "cand2":
-                pools[a] = (np.array(a), 0)
-            elif a not in pools:
-                ids = np.concatenate([seq_ids[v] for v in a])
-                pools[a] = (dedup_rows(ids), max(len(seq_ids[v]) for v in a))
-            ids, m = pools[a]
+    def pool(a: tuple[int, ...]) -> int:
+        nonlocal stats
+        if a not in pool_of:
+            cand1 = generator == "cand1"
+            ids = dedup_rows(np.concatenate([seq_ids[v] for v in a])) if cand1 else np.array(a)
+            m = max(len(seq_ids[v]) for v in a) if cand1 else 0  # largest complexity
             try:
-                if m not in sizes:
-                    sizes[m] = guard_draws(cand1_sample_size(beta, delta_node, eps, p, m, ell)
-                                           if m else cand2_sample_size(beta, delta_node))
-            except (CapacityError, DomainError):
-                if chunk:
-                    break
-                raise
-            most = min(sizes[m], len(ids))  # distinct draws: cand2's candidates at most
+                size = guard_draws(cand1_sample_size(beta, delta_node, eps, p, m, ell)
+                                   if m else cand2_sample_size(beta, delta_node))
+            except (CapacityError, DomainError) as e:
+                size = e.with_traceback(None)  # raised where the walk meets it
+            most = 0 if isinstance(size, Exception) else min(size, len(ids))  # distinct draws
             most = tuple_count(most, ell, CANDIDATE_GUARD) if m else most  # cand1's: their tuples
-            total, width = total + sizes[m] + most * T.n, max(width, len(ids))
-            if chunk and total + (len(chunk) + 1) * width > _FOLD_ELEMENTS:
-                break
-            js.append(j)
-            chunk.append((ids, sizes[m]))
-        ids = _cand1(chunk, rng)
-        return dict(zip(js, zip(ids, (ids >= 0).sum(axis=1).tolist())))
+            spend = size + most * n if most else math.inf  # a node that raises fits no chunk
+            if len(pools) == len(stats):
+                stats = np.concatenate([stats, stats])
+            stats[len(pools)] = len(ids), min(spend, _FOLD_ELEMENTS + 1), not most
+            pool_of[a] = len(pools)
+            pools.append((ids, size))
+        return pool_of[a]
 
     best, nodes = [math.inf, []], 0  # the first cheapest leaf (cost, centers); nodes seen
-
-    def count_nodes(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > NODE_GUARD:
-            raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
-
-    def fold(block: list, heads: list, D: np.ndarray, sums: list) -> None:
-        """Record walked nodes in order: by first cheapest candidate, or dmin sum."""
-        drawn = [b for b in block if b[2] is not None]
-        if drawn:
-            rid, sizes = resolve([b[2] for b in drawn]), [b[3] for b in drawn]
-            totals, ends = rows.take(rid, axis=0), np.cumsum(sizes)
-            starts, lo = ends - sizes, 0  # a chain's nodes are consecutive and share its dmin
-            for s, hi in {b[0]: end for b, end in zip(drawn, ends.tolist())}.items():
-                np.minimum(D[s], totals[lo:hi], out=totals[lo:hi])
-                lo = hi
-            totals = _fold_rows(totals)
-            firsts = iter(zip(starts.tolist(), np.minimum.reduceat(totals, starts).tolist()))
-        for s, src, draw, K in block:
-            if draw is None:
-                if sums[s] < best[0]:
-                    best[:] = sums[s], heads[s]
-                continue
-            lo, total = next(firsts)
-            if total < best[0]:
-                i = lo + int(np.argmin(totals[lo : lo + K]))
-                best[:] = total, heads[s] + [(keys[rid[i]], src)]
 
     def chains(heads: list, D: np.ndarray, active: np.ndarray, depth: int) -> None:
         """Walk, depth first, the chains of the children (`depth` centers) of
         one node: chain s is the child with centers heads[s] and dmin D[s] and
-        its discard descendants.  Nodes of k - 1 centers are folded in blocks."""
+        its discard descendants."""
+        nonlocal nodes
         acts = [np.tile(active, (len(D), 1))]
         while depth and (act := acts[-1]).shape[1]:
             # less the ceil(|act| * (1 - 2k/beta)) of least dmin, the first on ties
             n_rm = math.ceil(act.shape[1] * (1.0 - 2.0 * k / beta))
             order = np.argsort(np.take_along_axis(D, act, 1), axis=1, kind="stable")
             acts.append(np.sort(np.take_along_axis(act, order[:, n_rm:], 1), axis=1))
-        walk = [(s, tuple(act[s].tolist())) for s in range(len(D)) for act in acts]
-        block, drawn, end = [], {}, -1  # a block: one chunk, so its cand1 rows share one width
-        sums = _fold_rows(D).tolist()  # a leaf's total: its chain's dmin summed
-        try:
-            for i, (s, a) in enumerate(walk):
-                count_nodes(1)
-                if not a:
-                    draw, src, K = None, None, 0
-                else:
-                    if i not in drawn:
-                        end = max(drawn := sample(walk, i, depth == k - 1))
-                    row, u = drawn[i]
-                    if generator == "cand1":
-                        draw, src, K = row, a, guard_tuples(u, ell, CANDIDATE_GUARD)
-                    else:  # each simplification maps to the first sequence drawn that yields it
-                        draw = src = {}
-                        for v in row[:u].tolist():
-                            draw.setdefault(table.simplified(v), v)
-                        K = len(draw)
-                if folded := not a or depth == k - 1:
-                    block.append((s, src, draw, K))
-                    count_nodes(K)
-                if not folded or i == end:
-                    full, block = block, []
-                    fold(full, heads, D, sums)
-                if not folded:
-                    rid = resolve([draw])
-                    sub = [heads[s] + [(keys[r], src)] for r in rid.tolist()]
-                    chains(sub, np.minimum(D[s], rows[rid]), np.array(a), depth + 1)
-        finally:
-            fold(block, heads, D, sums)
+        # walk node w is chain w // L at level w % L; g[w]: its pool, 0 if its
+        # active set is empty, which makes it a leaf
+        L, last, g = len(acts), depth == k - 1, np.zeros((len(D), len(acts)), np.intp)
+        for l, act in enumerate(acts):
+            if act.shape[1]:
+                g[:, l] = [pool(a) for a in map(tuple, act.tolist())]
+        g, sums = g.ravel(), _fold_rows(D)  # sums: the leaves' totals
+        width, spend, err = stats[:, 0], stats[:, 1], stats[:, 2] > 0
+        nz = np.append(np.flatnonzero(g), len(g))  # the drawing nodes, then the walk's end
+        spent = np.cumsum(spend[g[nz[:-1]]]) if last else None  # cuts the last level
+
+        def src(w: int, draw):  # a center's source: cand1's active set, cand2's draws
+            return draw if generator == "cand2" else tuple(acts[w % L][w // L].tolist())
+
+        def fold(lo: int, hi: int, drawn, K: np.ndarray) -> None:
+            """Record walk nodes lo..hi - 1 by the first cheapest leaf in walk
+            order, a drawn node's candidate or an empty node's dmin sum;
+            `drawn` and `K` are the drawn nodes' samples and candidate counts."""
+            s, has = np.arange(lo, hi) // L, g[lo:hi] > 0
+            vals = sums[s]
+            if len(K):
+                rid = resolve(drawn)
+                totals, at = np.zeros(len(rid)), np.repeat(s[has], K)
+                with np.errstate(over="ignore"):  # added as `_fold_rows` adds
+                    for row, dmin in zip(rows, D.T):
+                        totals += np.minimum(row.take(rid), dmin.take(at))
+                vals[has] = np.minimum.reduceat(totals, np.cumsum(K) - K)
+            if len(vals) and vals[j := int(np.argmin(vals))] < best[0]:
+                head = heads[s[j]]
+                if has[j]:
+                    c = keys[rid[int(np.argmin(totals))]]
+                    head = head + [(c, src(lo + j, drawn[np.count_nonzero(has[:j])]))]
+                best[:] = float(vals[j]), head
+
+        i, at = 0, 0  # the next walk node, and nz[at] the next that draws
+        while i < len(g):
+            # a chunk: the walk up to the next drawing node f and, at the last
+            # level, on while the drawing nodes' draws, folds and nodes x widest
+            # ids fit `_FOLD_ELEMENTS` (a node whose draws raise never fits)
+            take = int((f := nz[at]) < len(g) and not err[g[f]])
+            if take and last:
+                base = spent[at - 1] if at else 0
+                hi = max(int(spent.searchsorted(base + _FOLD_ELEMENTS, "right")), at + 1)
+                w = np.maximum.accumulate(width[g[nz[at:hi]]]) * np.arange(1, hi - at + 1)
+                take = max(1, int(np.count_nonzero(spent[at:hi] - base + w <= _FOLD_ELEMENTS)))
+            sel, e = nz[at : at + take], nz[at + take] if last and take else min(f + 1, len(g))
+            drawn, K, bad = [], np.zeros(take, np.int64), err[g[i:e]]
+            if take:
+                ids = _cand1([pools[j] for j in g[sel].tolist()], rng)
+                if generator == "cand1":
+                    drawn, u = ids, (ids >= 0).sum(axis=1)
+                    us = np.flatnonzero(np.bincount(u))  # the distinct sample widths
+                    K = np.array([tuple_count(v, ell, CANDIDATE_GUARD) for v in us.tolist()])
+                    K = K[us.searchsorted(u)]
+                    bad[sel - i] = K > CANDIDATE_GUARD
+                else:  # each simplification maps to the first sequence drawn that yields it
+                    drawn, j = [{} for _ in sel], 0
+                    try:
+                        for j, v in zip(np.nonzero(ids >= 0)[0].tolist(), ids[ids >= 0].tolist()):
+                            drawn[j].setdefault(table.simplified(v), v)
+                    except (CapacityError, DomainError):  # raised again at its node
+                        bad[sel[j] - i] = True
+                    K = np.array([len(draw) for draw in drawn])
+            Kc = np.zeros(e - i, np.int64)  # each node's leaves, counted after it
+            Kc[sel - i] = K if last else 0
+            end, total = e, nodes + e - i + int(Kc.sum())
+            if total > NODE_GUARD or bad.any():  # the walk stops at the first node over
+                one = nodes + np.cumsum(Kc + 1) - Kc  # the guard or whose draws raise
+                end = i + int(np.logical_and.accumulate((one <= NODE_GUARD) & ~bad).sum())
+            # the nodes walked, one tripping on its own leaves among them, are folded first
+            nd = int(sel.searchsorted(end)) if last else 0
+            fold(i, end if last else min(end, f), drawn[:nd], K[:nd])
+            if end < e and one[end - i] <= NODE_GUARD:  # raise as node `end`'s draws did
+                if not take:  # afresh, so that no cycle runs through `pools`
+                    raise type(pools[g[f]][1])(*pools[g[f]][1].args)
+                row = ids[j := int(sel.searchsorted(end))]
+                if generator == "cand1":
+                    guard_tuples(int(u[j]), ell, CANDIDATE_GUARD)
+                for v in row[row >= 0].tolist():
+                    table.simplified(v)
+            if (nodes := total) > NODE_GUARD:  # a node's leaves count too
+                raise CapacityError(f"search exceeded {NODE_GUARD} nodes")
+            if take and not last:
+                rid, a = resolve(drawn), src(f, drawn[0])
+                sub = [heads[f // L] + [(keys[r], a)] for r in rid.tolist()]
+                chains(sub, np.minimum(D[f // L], rows[:, rid].T), acts[f % L][f // L], depth + 1)
+            i, at = e, at + max(take, 1)
 
     # the root, no center and dmin inf (min(inf, row) is the row), is a chain
-    chains([[]], np.full((1, T.n), math.inf), np.arange(T.n), 0)
+    chains([[]], np.full((1, n), math.inf), np.arange(n), 0)
     chains = None  # no cycle through the recursion, so the search's arrays go at once
     if best[0] == math.inf:
         raise q_overflow_error(q)

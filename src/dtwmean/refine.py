@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class BallUnion:
 
     centers: np.ndarray  # (k, d)
     radius: float
+    # cell width -> `_bounds` already run by `med_appr`, which `grid_cover` takes
+    _bounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require(self.centers.ndim == 2 and self.centers.shape[0] >= 1, "need centers")
@@ -57,26 +59,9 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
     when the balls' bounding boxes, all counted, hold more than CELL_GUARD
     cells, and DomainError when a lattice index does not fit int64.
     """
-    require(gamma > 0, "grid cell width must be positive")
-    r = ball_union.radius
-    # past about 1.34e154 every squared offset would test below r * r = inf
-    require(
-        math.isfinite(float(r) * float(r)),
-        f"the grid cover radius {r!r} squared overflows float64; rescale the coordinates",
-    )
-    hits, tested = [], set()
-    budget = CELL_GUARD
-    for center in ball_union.centers:
-        lo, hi = np.floor(np.stack([center - r, center + r]) / gamma)
-        # every index up to hi + 1 must fit int64 (an inf one never does)
-        require(
-            bool((lo >= -(2.0**63)).all() and (hi < 2.0**63).all()),
-            "grid cover lattice indices do not fit int64; translate or rescale the coordinates",
-        )
-        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
-        budget -= math.prod(h - l + 1 for l, h in zip(lo.tolist(), hi.tolist()))
-        if budget < 0:
-            raise CapacityError(f"grid cover would visit more than {CELL_GUARD} cells")
+    boxes, _ = ball_union._bounded.pop(gamma, None) or _bounds(ball_union, gamma)
+    r, hits, tested = ball_union.radius, [], set()
+    for center, (lo, hi) in zip(ball_union.centers, boxes):
         if (key := tuple(center.tolist())) in tested:
             continue  # an equal ball, whose cells are already hits
         tested.add(key)
@@ -86,7 +71,7 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
         # overflows exceeds r * r, so its inf is correctly not a hit
         dsq, on_lower_faces = 0.0, True
         with np.errstate(over="ignore"):
-            for c, l, h in zip(key, lo.tolist(), hi.tolist()):
+            for c, l, h in zip(key, lo, hi):
                 g = np.arange(l, h + 1) * gamma
                 dsq = np.add.outer(dsq, (c - np.clip(c, g, g + gamma)) ** 2)
                 on_lower_faces = np.logical_and.outer(on_lower_faces, c < g + gamma)
@@ -99,6 +84,30 @@ def grid_cover(ball_union: BallUnion, gamma: float) -> np.ndarray:
     rows = rows[np.lexsort(rows.T[::-1])]
     rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
     return rows * gamma
+
+
+def _bounds(ball_union: BallUnion, gamma: float) -> tuple[list, int]:
+    """`grid_cover`'s bounds pass, checks in order: each center's box (lo, hi), and total cells."""
+    require(gamma > 0, "grid cell width must be positive")
+    r = ball_union.radius
+    # past about 1.34e154 every squared offset would test below r * r = inf
+    require(
+        math.isfinite(float(r) * float(r)),
+        f"the grid cover radius {r!r} squared overflows float64; rescale the coordinates",
+    )
+    boxes, budget = [], CELL_GUARD
+    for center in ball_union.centers:
+        lo, hi = np.floor(np.stack([center - r, center + r]) / gamma)
+        # every index up to hi + 1 must fit int64 (an inf one never does)
+        require(
+            bool((lo >= -(2.0**63)).all() and (hi < 2.0**63).all()),
+            "grid cover lattice indices do not fit int64; translate or rescale the coordinates",
+        )
+        boxes.append((lo.astype(np.int64).tolist(), hi.astype(np.int64).tolist()))
+        budget -= math.prod(h - l + 1 for l, h in zip(*boxes[-1]))
+        if budget < 0:
+            raise CapacityError(f"grid cover would visit more than {CELL_GUARD} cells")
+    return boxes, CELL_GUARD - budget
 
 
 def _inscribed_cell_lower_bound(ball_union: BallUnion, gamma: float) -> int:
@@ -181,9 +190,14 @@ def med_appr(
             cover = None
             if i not in sizes:
                 union = BallUnion(centers=T.sequences[i].vertices, radius=4.0 * r)
-                small = _inscribed_cell_lower_bound(union, gamma) <= size_cap
-                cover = grid_cover(union, gamma) if small else ()
-                sizes[i] = len(cover)
+                least, cover = _inscribed_cell_lower_bound(union, gamma), ()
+                if least <= size_cap:
+                    # a cover sure to be scored and already over budget is refused unbuilt, below
+                    _, cells = union._bounded[gamma] = _bounds(union, gamma)
+                    left = CANDIDATE_GUARD - total
+                    over = cells <= size_cap and tuple_count(least, ell, left) > left
+                    cover = None if over else grid_cover(union, gamma)
+                sizes[i] = least if cover is None else len(cover)
             if not 0 < sizes[i] <= size_cap:
                 continue
             added = tuple_count(sizes[i], ell, CANDIDATE_GUARD - total)

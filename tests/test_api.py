@@ -1,5 +1,8 @@
 import argparse
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import dtwmean
 from dtwmean.bench import RunConfig
@@ -60,6 +63,17 @@ PUBLIC_FIELDS = {
     ],
 }
 
+# The top-level modules that importing the CLI loads into a fresh interpreter,
+# beyond those the interpreter starts with.  Every CLI run and the
+# benchmark's set-up time pay for them, so a module added to the import path
+# must be added here too.
+CLI_IMPORTS = [
+    "__future__", "_ast", "_compat_pickle", "_contextvars", "_csv", "_ctypes", "_datetime",
+    "_json", "_opcode", "_pickle", "argparse", "ast", "contextvars", "copy", "csv", "ctypes",
+    "dataclasses", "datetime", "dis", "dtwmean", "gettext", "inspect", "json", "linecache",
+    "numbers", "numpy", "opcode", "pickle", "platform", "textwrap", "token", "tokenize",
+]
+
 # The options of every CLI subcommand, pinned the same way, so a new flag
 # shows up in review too.
 IO_OPTIONS = ["--input", "--output", "--format"]
@@ -97,3 +111,16 @@ def test_cli_subcommands_have_exactly_the_listed_options():
         for name, sub in commands.choices.items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_importing_the_cli_loads_only_the_listed_modules():
+    code = (
+        "import sys\n"
+        "before = {m.partition('.')[0] for m in sys.modules}\n"
+        f"sys.path.insert(0, {str(Path(dtwmean.__file__).parents[1])!r})\n"
+        "import dtwmean.cli\n"
+        "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules} - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split()
+    assert sorted(set(out) - set(CLI_IMPORTS)) == []

@@ -1,6 +1,7 @@
 """Differential tests of the batch kernel against the scalar distance layer."""
 
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dtwmean._batch as batch
+import dtwmean.core as core
 from dtwmean import Dataset, DomainError, PointSequence, cost, dtw
 from dtwmean._batch import score_candidates, score_tuples
 from dtwmean.meanapprox import enumerate_tuples
@@ -62,8 +65,11 @@ def reference_score_block(T: Dataset, cands: np.ndarray, p: float, q: float) -> 
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances())
-def test_listed_scores_equal_reference_recurrence_bit_for_bit(inst):
+@given(instances(), st.sampled_from((batch._BLOCK_ELEMENTS, 8, 40)))
+def test_listed_scores_equal_reference_recurrence_bit_for_bit(inst, budget):
+    # the module's budget stacks every sequence, of unequal lengths, in one
+    # table; 8 and 40 split the candidates into chunks and the sequences
+    # into groups
     T, cands, p, q = inst
     want = np.array(
         [
@@ -71,7 +77,8 @@ def test_listed_scores_equal_reference_recurrence_bit_for_bit(inst):
             for tau in T.sequences
         ]
     ).T
-    assert np.array_equal(_bits(score_candidates(T, cands, p, q)), _bits(want))
+    with mock.patch.object(batch, "_BLOCK_ELEMENTS", budget):
+        assert np.array_equal(_bits(score_candidates(T, cands, p, q)), _bits(want))
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,8 +95,6 @@ def test_score_candidates_equal_scalar_dtw_bit_for_bit(inst):
 
 
 def test_score_candidates_chunks_like_one_block(monkeypatch):
-    import dtwmean._batch as batch
-
     rng = np.random.default_rng(3)
     T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 2))) for m in (2, 4, 3)])
     cands = rng.uniform(0, 5, size=(7, 2, 2))
@@ -98,10 +103,22 @@ def test_score_candidates_chunks_like_one_block(monkeypatch):
     assert np.array_equal(_bits(score_candidates(T, cands, 1.5, 3.0)), _bits(whole))
 
 
-def test_listed_chunks_count_the_dimension(monkeypatch):
-    import dtwmean._batch as batch
-    import dtwmean.core as core
+def test_one_table_per_chunk_over_the_stacked_sequences(monkeypatch):
+    # lengths 2, 4 and 3 stack into one 9-row table; at L * d = 4, a budget
+    # of 72 fits two candidates' tables, so K = 5 takes three chunks
+    rng = np.random.default_rng(5)
+    T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 2))) for m in (2, 4, 3)])
+    cands = rng.uniform(0, 5, size=(5, 2, 2))
+    whole, tables = score_candidates(T, cands, 1.5, 2.0), []
+    real = batch.pow_dist_matrix
+    monkeypatch.setattr(batch, "pow_dist_matrix", lambda a, b, p: tables.append(a.shape) or
+                        real(a, b, p))
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 72)
+    assert np.array_equal(_bits(score_candidates(T, cands, 1.5, 2.0)), _bits(whole))
+    assert tables == [(9, 2)] * 3
 
+
+def test_listed_chunks_count_the_dimension(monkeypatch):
     rng = np.random.default_rng(4)
     T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 3))) for m in (2, 4)])
     cands = rng.uniform(0, 5, size=(5, 2, 3))
@@ -167,8 +184,6 @@ def test_score_tuples_equal_reference_recurrence_bit_for_bit(inst):
 
 
 def test_score_tuples_chunks_like_one_block(monkeypatch):
-    import dtwmean._batch as batch
-
     rng = np.random.default_rng(5)
     T = Dataset([PointSequence(rng.uniform(0, 5, size=(m, 2))) for m in (2, 4, 3)])
     points = rng.uniform(0, 5, size=(5, 2))

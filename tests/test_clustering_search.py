@@ -11,6 +11,7 @@ same first exception, with the same rows scored before it.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -362,3 +363,56 @@ def test_the_chunks_of_a_fourteen_sequence_search_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 1.276 * 2**20
+
+
+def test_the_walk_does_its_bookkeeping_per_chunk_and_pool_not_per_node(monkeypatch):
+    # a per-node walk of the last level's 469 nodes makes 942 `tuple_count`
+    # and `guard_tuples` calls and 481 `Dataset.n` reads per search; the chunk
+    # walk counts each distinct sample width once per chunk and each pool's
+    # most candidates once, and reads `n` once per search and three times
+    # per `score_candidates` call
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(clustering, name)
+        return lambda *a: calls.update([name]) or real(*a)
+
+    for name in ("tuple_count", "guard_tuples", "_cand1", "dedup_rows", "score_candidates"):
+        monkeypatch.setattr(clustering, name, counting(name))
+    n = Dataset.n
+    monkeypatch.setattr(Dataset, "n", property(lambda T: calls.update(["n"]) or n.fget(T)))
+    res = k_clustering(planted(3), PLANTED, "cand1", seed=17)
+    assert res.nodes == 32449
+    chunks, pools, widths = calls["_cand1"], calls["dedup_rows"], 3  # 2, 6 and 12 ids
+    assert calls["tuple_count"] <= pools + widths * chunks < 469 // 8
+    assert calls["guard_tuples"] == 0  # called only to raise
+    assert calls["n"] <= 1 + 3 * calls["score_candidates"] < 469 // 8
+
+
+def sequence_failing_to_simplify(seed: int) -> Dataset:
+    """29 two-vertex sequences over {0, 1, 2} and, at a random place, one whose
+    own vertices are 1.6e154 apart: at p = 2 its simplification overflows,
+    while its distance to any other vertex does not."""
+    rng = np.random.default_rng(seed)
+    seqs = [rng.choice([0.0, 1.0, 2.0], size=(2, 1)) for _ in range(29)]
+    seqs.append(np.array([[0.8e154], [-0.8e154]]))
+    return Dataset([PointSequence(seqs[i]) for i in rng.permutation(30)])
+
+
+@FOLD_BUDGETS
+@pytest.mark.parametrize("seed", [35, 38])
+def test_a_simplification_that_raises_is_raised_at_its_node(monkeypatch, fold_elements, seed):
+    # cand2 simplifies a chunk's draws at once; the root (seed 35 or 38) does
+    # not draw the failing sequence, so a last-level node raises, after the
+    # nodes before it were counted and folded, unless one of them trips first
+    T = sequence_failing_to_simplify(seed)
+    params = ClusteringParams(k=2, beta=4.5, delta=0.9, p=2.0, q=1.0, ell=1, eps=1.0)
+    monkeypatch.setattr(clustering, "_FOLD_ELEMENTS", fold_elements)
+    for guard in (5, clustering.NODE_GUARD):
+        monkeypatch.setattr(clustering, "NODE_GUARD", guard)
+        want = outcome(reference_k_clustering, T, params, "cand2", seed, monkeypatch)
+        if guard == 5:
+            assert want[:2] == ("CapacityError", "search exceeded 5 nodes")
+        else:
+            assert want[0] == "DomainError" and want[2]  # rows were scored before it
+        assert outcome(k_clustering, T, params, "cand2", seed, monkeypatch) == want

@@ -54,6 +54,11 @@ CASES = {
     # one ball of 10000002 cells, refused before its cells are tested
     "mean-refine": (["mean", "--algo", "refine", "--input", "points.json", "--eps", "1.6e-6"],
                     "grid cover would visit more than 10000000 cells"),
+    # a ball of 9.9 M cells, under the cell guard, refused on its least
+    # cover's tuples before the cover is built (367.6 MB peak RSS once built)
+    "mean-refine-budget": (
+        ["mean", "--algo", "refine", "--input", "points.json", "--eps", "1.61e-6"],
+        "candidate budget 10000000 exceeded at rung r=0.3333333333333333"),
     "mean-dba": (["mean", "--algo", "dba", "--input", "long.json"],
                  "a 4001 x 4001 x 1 distance matrix exceeds the guard of 16000000 elements"),
     "cluster": (["cluster", "--input", "small.json", "--k", "1", "--beta", "451809"],
@@ -66,6 +71,10 @@ CASES = {
 }
 
 
+#: cases whose unguarded run fits in `LIMIT`, run under a limit it does not fit
+LIMITS = {"mean-refine-budget": 256 * 2**20}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("guards")
@@ -74,11 +83,11 @@ def workdir(tmp_path_factory) -> Path:
     return path
 
 
-def run_limited(workdir: Path, argv: list[str]) -> subprocess.CompletedProcess:
+def run_limited(workdir: Path, argv: list[str], limit: int = LIMIT) -> subprocess.CompletedProcess:
     # one BLAS thread, so that the library's per-thread buffers stay inside the limit
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     return subprocess.run(
-        [sys.executable, "-c", CHILD, str(LIMIT), str(SRC), *argv],
+        [sys.executable, "-c", CHILD, str(limit), str(SRC), *argv],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=60,
     )
 
@@ -86,7 +95,7 @@ def run_limited(workdir: Path, argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_command_past_its_guard_exits_3_before_allocating(workdir, case):
     argv, message = CASES[case]
-    proc = run_limited(workdir, argv)
+    proc = run_limited(workdir, argv, LIMITS.get(case, LIMIT))
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"capacity guard: {message}\n")
     assert not (workdir / "gen.json").exists()
 

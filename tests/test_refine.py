@@ -373,6 +373,16 @@ class TestRepeatedCovers:
         assert res.candidates_scored == 303604
         assert res.cost.hex() == "0x1.199999999999bp+0"
 
+    def test_each_cover_takes_one_bounds_pass(self, monkeypatch):
+        # `med_appr` runs the bounds pass for its budget check and `grid_cover`
+        # takes that pass instead of running it again
+        passes, covers = [], []
+        real_bounds, real_cover = refine._bounds, refine.grid_cover
+        monkeypatch.setattr(refine, "_bounds", lambda *a: passes.append(1) or real_bounds(*a))
+        monkeypatch.setattr(refine, "grid_cover", lambda *a: covers.append(1) or real_cover(*a))
+        assert refine.med_appr(self.T, *self.ARGS).candidates_scored == 303604
+        assert len(passes) == len(covers) == 14
+
     def test_repeated_covers_count_against_the_guard(self, monkeypatch):
         # 181536 is the 4 simplifications plus every distinct cover's tuples
         # counted once, so only the repeats push the count over it
